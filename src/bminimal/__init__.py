@@ -62,6 +62,7 @@ from .moment import (
     FWResult,
     Subspace,
     compress_family,
+    decide,
     intersects,
     jnr_support,
     moment_distance,

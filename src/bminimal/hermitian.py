@@ -216,8 +216,14 @@ def project_density(m) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def _bottom_eigpair(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and a unit eigenvector by LAPACK, for matrices the
+    package built itself: no validation, no phase normalization, no residual."""
+    w, v = np.linalg.eigh(g)
+    return float(w[0]), v[:, 0]
+
+
 def min_eigpair(g) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector: the linear minimization
     oracle over density matrices (argmin tr(GR) is the bottom eigenprojection)."""
-    dec = eig_hermitian(g)
-    return float(dec.eigenvalues[0]), dec.vectors[:, 0].copy()
+    return _bottom_eigpair(as_hermitian(g))

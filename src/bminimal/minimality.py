@@ -30,7 +30,7 @@ from .hermitian import (
     eig_hermitian,
     frobenius,
 )
-from .moment import FWConfig, Subspace, intersects, moment_distance
+from .moment import FWConfig, Subspace, decide, intersects, moment_distance
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -194,8 +194,9 @@ def check_minimal(
         verdict = UNDECIDED if err.near else NOT_MINIMAL
         return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=norm)
 
-    res = moment_distance(spaces.plus, spaces.minus, basis, cfg)
-    if res.distance <= cfg.dist_tol and res.gap <= cfg.gap_tol:
+    res = moment_distance(spaces.plus, spaces.minus, basis, cfg, until_decided=True)
+    answer = decide(res, cfg)
+    if answer:
         cert = build_certificate(
             a, spaces, res.witness_plus, res.witness_minus, basis=basis
         )
@@ -207,7 +208,7 @@ def check_minimal(
             gap=res.gap,
             certificate=cert,
         )
-    if res.distance - np.sqrt(2.0 * max(res.gap, 0.0)) > cfg.dist_tol:
+    if answer is False:
         return MinimalityReport(
             verdict=NOT_MINIMAL,
             reason=REASON_DISJOINT,

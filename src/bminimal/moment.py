@@ -5,20 +5,30 @@ matrices supported on S under the coordinate map of the basis.  The set is
 never materialized; it is exposed through three computable views: sampled
 extreme points, the exact support function (a top eigenvalue of the
 compressed family), and the Euclidean distance between two moments, decided
-by Frank-Wolfe over the product of density-matrix spectrahedra.
+by Frank-Wolfe over the product of density-matrix spectrahedra.  The
+Frank-Wolfe oracle is LAPACK's Hermitian eigensolver on the small partial
+gradients; callers that only need the verdict (``decide``) stop the solve as
+soon as it is definite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import SubalgebraBasis
 from .errors import Undecided
-from .hermitian import eig_hermitian, frobenius, min_eigpair
+from .hermitian import _bottom_eigpair, eig_hermitian, frobenius
 
 FRAME_TOL = 1e-10
+
+# Why a Frank-Wolfe solve stopped (FWResult.stop_reason).
+STOP_GAP_MET = "gap_met"      # the gap fell to cfg.gap_tol
+STOP_DECIDED = "decided"      # until_decided, and decide() was definite
+STOP_BUDGET = "budget"        # cfg.max_iter iterations ran
+STOP_ZERO_STEP = "zero_step"  # the step direction vanished
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,7 @@ class FWResult:
     ``distance`` is the Euclidean distance between the two witness images;
     it is within sqrt(2 * gap) of the true set distance.  The witnesses are
     density matrices in the coordinates of each subspace frame.
+    ``stop_reason`` is one of the STOP_* values above.
     """
 
     distance: float
@@ -96,6 +107,7 @@ class FWResult:
     witness_minus: np.ndarray
     gap: float
     iterations: int
+    stop_reason: str
 
 
 def compress_family(s: Subspace, basis: SubalgebraBasis) -> CompressedFamily:
@@ -167,60 +179,99 @@ def _phi(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", mats, rho))
 
 
+class _Progress(NamedTuple):
+    distance: float
+    gap: float
+
+
+def decide(res, cfg: FWConfig) -> bool | None:
+    """The three-valued verdict on a moment-distance solve.
+
+    True (the moments intersect) needs distance <= dist_tol with the gap
+    certificate met; False (disjoint) needs the gap-corrected lower bound
+    distance - sqrt(2 * gap) to clear dist_tol; anything in between is
+    None.  ``res`` is an FWResult, or anything with its distance and gap.
+    """
+    if res.distance <= cfg.dist_tol and res.gap <= cfg.gap_tol:
+        return True
+    if res.distance - np.sqrt(2.0 * max(res.gap, 0.0)) > cfg.dist_tol:
+        return False
+    return None
+
+
 def moment_distance(
     s1: Subspace,
     s2: Subspace,
     basis: SubalgebraBasis,
     cfg: FWConfig = FWConfig(),
+    *,
+    until_decided: bool = False,
 ) -> FWResult:
     """Euclidean distance between the moments of two subspaces.
 
     Minimizes 0.5 * ||phi1(R1) - phi2(R2)||^2 by Frank-Wolfe over the
     product of the two density-matrix sets: the linear minimization oracle
     on each factor is the bottom eigenpair of the partial gradient (a
-    rank-one vertex), and the step is an exact line search (the objective
-    is quadratic in the step).  Stops when the Frank-Wolfe gap falls below
-    cfg.gap_tol or the iteration budget runs out; the result is returned
-    either way, carrying the final gap.
+    rank-one vertex vv*, whose moment is Re(v* M_k v)), and the step is an
+    exact line search (the objective is quadratic in the step).  phi is
+    linear, so the moments follow the witnesses by the same step.  Stops
+    when the Frank-Wolfe gap falls below cfg.gap_tol or the iteration budget
+    runs out; with ``until_decided``, also as soon as ``decide`` is
+    definite.  The result is returned either way, carrying the final gap
+    and the reason it stopped; its distance is recomputed from the
+    witnesses.
     """
     if s1.n != s2.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    fam1 = compress_family(s1, basis)
-    fam2 = compress_family(s2, basis)
+    mats1 = compress_family(s1, basis).mats
+    mats2 = compress_family(s2, basis).mats
+    flat1 = mats1.reshape(mats1.shape[0], -1)
+    flat2 = mats2.reshape(mats2.shape[0], -1)
+    # conj(M_k) flattened: the moment of a vertex vv* is Re(conj_k . vec(vv*))
+    conj1 = flat1.conj()
+    conj2 = flat2.conj()
     r1 = np.eye(s1.r, dtype=complex) / s1.r
     r2 = np.eye(s2.r, dtype=complex) / s2.r
 
-    d = _phi(fam1.mats, r1) - _phi(fam2.mats, r2)
+    # d = phi1(R1) - phi2(R2), the difference of the running moments
+    d = _phi(mats1, r1) - _phi(mats2, r2)
     gap = np.inf
     it = 0
+    stop = STOP_BUDGET
     for it in range(cfg.max_iter + 1):
-        g1 = np.einsum("k,kij->ij", d, fam1.mats)
-        g2 = -np.einsum("k,kij->ij", d, fam2.mats)
-        lam1, v1 = min_eigpair(g1)
-        lam2, v2 = min_eigpair(g2)
-        gap = float(d @ d - lam1 - lam2)
-        if gap <= cfg.gap_tol or it == cfg.max_iter:
+        lam1, v1 = _bottom_eigpair((d @ flat1).reshape(s1.r, s1.r))
+        lam2, v2 = _bottom_eigpair((-d @ flat2).reshape(s2.r, s2.r))
+        dd = float(d @ d)
+        gap = dd - lam1 - lam2
+        if gap <= cfg.gap_tol:
+            stop = STOP_GAP_MET
             break
-        vert1 = np.outer(v1, v1.conj())
-        vert2 = np.outer(v2, v2.conj())
-        u = (_phi(fam1.mats, vert1) - _phi(fam1.mats, r1)) - (
-            _phi(fam2.mats, vert2) - _phi(fam2.mats, r2)
-        )
+        if until_decided and decide(_Progress(np.sqrt(dd), gap), cfg) is not None:
+            stop = STOP_DECIDED
+            break
+        if it == cfg.max_iter:
+            break
+        vert1 = v1[:, None] * v1.conj()
+        vert2 = v2[:, None] * v2.conj()
+        # u = (a1 - phi1(R1)) - (a2 - phi2(R2)) with a = Re(v* M_k v)
+        u = (conj1 @ vert1.ravel()).real - (conj2 @ vert2.ravel()).real - d
         denom = float(u @ u)
         if denom <= 0.0:
+            stop = STOP_ZERO_STEP
             break
         step = min(max(gap / denom, 0.0), 1.0)
-        r1 = r1 + step * (vert1 - r1)
-        r2 = r2 + step * (vert2 - r2)
-        r1 = (r1 + r1.conj().T) / 2
-        r2 = (r2 + r2.conj().T) / 2
-        d = _phi(fam1.mats, r1) - _phi(fam2.mats, r2)
+        r1 += step * (vert1 - r1)
+        r2 += step * (vert2 - r2)
+        d += step * u
+    r1 = (r1 + r1.conj().T) / 2
+    r2 = (r2 + r2.conj().T) / 2
     return FWResult(
-        distance=float(np.linalg.norm(d)),
+        distance=float(np.linalg.norm(_phi(mats1, r1) - _phi(mats2, r2))),
         witness_plus=r1,
         witness_minus=r2,
         gap=gap,
         iterations=it,
+        stop_reason=stop,
     )
 
 
@@ -232,18 +283,16 @@ def intersects(
 ) -> bool:
     """Decide whether the moments of two subspaces intersect.
 
-    True needs distance <= dist_tol with the gap certificate met; False
-    needs the gap-corrected lower bound distance - sqrt(2 * gap) to clear
-    dist_tol.  Anything in between raises Undecided rather than guessing.
+    The verdict is ``decide`` on a solve that stops once it is definite; an
+    indefinite one raises Undecided rather than guessing.
     """
-    res = moment_distance(s1, s2, basis, cfg)
-    if res.distance <= cfg.dist_tol and res.gap <= cfg.gap_tol:
-        return True
-    if res.distance - np.sqrt(2.0 * max(res.gap, 0.0)) > cfg.dist_tol:
-        return False
-    raise Undecided(
-        f"distance {res.distance:.3e} with gap {res.gap:.3e} cannot be separated "
-        f"from tolerance {cfg.dist_tol:.1e} at the iteration cap",
-        distance=res.distance,
-        gap=res.gap,
-    )
+    res = moment_distance(s1, s2, basis, cfg, until_decided=True)
+    answer = decide(res, cfg)
+    if answer is None:
+        raise Undecided(
+            f"distance {res.distance:.3e} with gap {res.gap:.3e} cannot be separated "
+            f"from tolerance {cfg.dist_tol:.1e} at the iteration cap",
+            distance=res.distance,
+            gap=res.gap,
+        )
+    return answer

@@ -35,6 +35,7 @@ from .moment import (
     FWConfig,
     Subspace,
     compress_family,
+    decide,
     moment_distance,
     support_function,
 )
@@ -123,9 +124,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BestApproxResult:
+    """``trace`` holds one (iteration, norm) row per step, starting at 0."""
+
     x_star: np.ndarray
     dist: float
-    trace: list[tuple[int, float]]
+    trace: np.ndarray  # (iterations + 1, 2) float
     converged: bool
 
 
@@ -234,8 +237,9 @@ def is_minimal_variational(
     clusters = cluster_eigenvalues(dec, tau)
     s_max = Subspace(clusters[-1].frame)
     s_min = Subspace(clusters[0].frame)
-    res = moment_distance(s_max, s_min, fam.basis, cfg)
-    if res.distance <= cfg.dist_tol and res.gap <= cfg.gap_tol:
+    res = moment_distance(s_max, s_min, fam.basis, cfg, until_decided=True)
+    answer = decide(res, cfg)
+    if answer:
         spaces = ExtremalSpaces(norm=norm, plus=s_max, minus=s_min, rest=None)
         cert = build_certificate(
             a, spaces, res.witness_plus, res.witness_minus, basis=fam.basis
@@ -248,7 +252,7 @@ def is_minimal_variational(
             gap=res.gap,
             certificate=cert,
         )
-    if res.distance - np.sqrt(2.0 * max(res.gap, 0.0)) > cfg.dist_tol:
+    if answer is False:
         return MinimalityReport(
             verdict=NOT_MINIMAL,
             reason=REASON_DISJOINT,
@@ -298,9 +302,10 @@ def _certified_optimal(fam: AffineFamily, x, norm: float, cfg: SolverConfig) -> 
         return False
     clusters = cluster_eigenvalues(dec, tau)
     res = moment_distance(
-        Subspace(clusters[-1].frame), Subspace(clusters[0].frame), fam.basis, cfg.fw
+        Subspace(clusters[-1].frame), Subspace(clusters[0].frame), fam.basis, cfg.fw,
+        until_decided=True,
     )
-    return res.distance <= cfg.fw.dist_tol and res.gap <= cfg.fw.gap_tol
+    return decide(res, cfg.fw) is True
 
 
 def best_approximation(
@@ -329,7 +334,7 @@ def best_approximation(
 
     best_x = x.copy()
     best_f, g = _norm_and_subgradient(fam, x)
-    trace = [(0, best_f)]
+    norms = [best_f]
     converged = _certified_optimal(fam, best_x, best_f, cfg)
     if not converged:
         c = cfg.c if cfg.c is not None else max(best_f, 1.0)
@@ -339,13 +344,14 @@ def best_approximation(
                 break
             x = x - (c / np.sqrt(k)) * g
             f, g = _norm_and_subgradient(fam, x)
-            trace.append((k, f))
+            norms.append(f)
             if f < best_f:
                 best_f = f
                 best_x = x.copy()
                 if _certified_optimal(fam, best_x, best_f, cfg):
                     converged = True
                     break
+    trace = np.column_stack((np.arange(len(norms), dtype=float), norms))
     return BestApproxResult(
         x_star=best_x, dist=best_f, trace=trace, converged=converged
     )

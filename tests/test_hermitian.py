@@ -256,3 +256,19 @@ class TestMinEigpair:
             assert lam == pytest.approx(eig_hermitian(g).eigenvalues[0], abs=1e-10)
             assert np.linalg.norm(g @ v - lam * v) <= 1e-10 * max(1.0, np.linalg.norm(g))
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_eigvalsh(self):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 3, 8):
+            g = rand_hermitian(rng, n)
+            lam, v = min_eigpair(g)
+            assert lam == pytest.approx(np.linalg.eigvalsh(g)[0], abs=1e-12)
+            assert v.shape == (n,)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            min_eigpair([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            min_eigpair([[np.nan, 0.0], [0.0, 1.0]])

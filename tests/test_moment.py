@@ -8,11 +8,14 @@ from bminimal.algebra import (
     change_of_basis,
     orthonormalize,
 )
-from bminimal.errors import Undecided
+from bminimal.errors import NormNotTwoSided, Undecided
+from bminimal.minimality import extremal_eigenspaces
 from bminimal.moment import (
     FWConfig,
+    FWResult,
     Subspace,
     compress_family,
+    decide,
     intersects,
     jnr_support,
     moment_distance,
@@ -21,6 +24,7 @@ from bminimal.moment import (
     support_function,
 )
 from oracles import bloch_grid, moment_cloud
+from suites import grid_agreement_suite
 
 IV = 1 / np.sqrt(2)
 
@@ -221,10 +225,96 @@ class TestMomentDistance:
         basis = build_diagonal(4)
         a = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         b = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        res = moment_distance(a, b, basis)
-        pa = moment_of_density(compress_family(a, basis), res.witness_plus)
-        pb = moment_of_density(compress_family(b, basis), res.witness_minus)
-        assert abs(res.distance**2 - np.linalg.norm(pa - pb) ** 2) <= 1e-12
+        # a pair that runs to the cap: the moments are updated step by step
+        # for 500 iterations before the witnesses are read back
+        capped_a, capped_b = random_rank2_pair(np.random.default_rng(90))
+        cases = [
+            (a, b, basis, FWConfig(), None),
+            (capped_a, capped_b, build_pauli_diagonal(3), FWConfig(max_iter=500), "budget"),
+        ]
+        for s1, s2, alg, cfg, stop in cases:
+            res = moment_distance(s1, s2, alg, cfg)
+            if stop is not None:
+                assert res.stop_reason == stop
+            fam1, fam2 = compress_family(s1, alg), compress_family(s2, alg)
+            pa = moment_of_density(fam1, res.witness_plus)
+            pb = moment_of_density(fam2, res.witness_minus)
+            assert abs(res.distance**2 - np.linalg.norm(pa - pb) ** 2) <= 1e-12
+            # the reported gap is the gap at the witnesses themselves
+            d = pa - pb
+            lam1 = np.linalg.eigvalsh(np.einsum("k,kij->ij", d, fam1.mats))[0]
+            lam2 = np.linalg.eigvalsh(np.einsum("k,kij->ij", -d, fam2.mats))[0]
+            assert abs(res.gap - (d @ d - lam1 - lam2)) <= 1e-12
+
+    def test_plain_solve_stops_at_gap_or_budget(self):
+        pairs = [
+            (span([1, 0]), span([0, 1]), build_diagonal(2)),
+            (subspace_s3(), subspace_v3(), build_diagonal(3)),
+            (*random_rank2_pair(np.random.default_rng(90)), build_pauli_diagonal(3)),
+            (*random_rank2_pair(np.random.default_rng(91)), build_pauli_diagonal(3)),
+        ]
+        reasons = set()
+        for s1, s2, basis in pairs:
+            res = moment_distance(s1, s2, basis, FWConfig(max_iter=300))
+            assert res.stop_reason in ("gap_met", "budget")
+            assert (res.stop_reason == "gap_met") == (res.gap <= 1e-9)
+            reasons.add(res.stop_reason)
+        assert reasons == {"gap_met", "budget"}
+
+
+def random_rank2_pair(rng, n=8):
+    """Orthogonal rank-2 subspaces of C^n from one seeded draw; under
+    pauli:3 their 3-dimensional moments miss each other almost surely."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
+    return Subspace(q[:, :2]), Subspace(q[:, 2:])
+
+
+def _result(distance, gap):
+    return FWResult(distance, np.eye(1), np.eye(1), gap, 0, "budget")
+
+
+class TestDecide:
+    def test_three_values(self):
+        cfg = FWConfig(gap_tol=1e-9, dist_tol=1e-6)
+        assert decide(_result(5e-7, 1e-10), cfg) is True
+        assert decide(_result(5e-7, 1e-8), cfg) is None
+        assert decide(_result(1e-2, 1e-6), cfg) is False
+        # the bound distance - sqrt(2 gap) has to clear dist_tol
+        assert decide(_result(1e-3 + 0.5e-6, 5e-7), cfg) is None
+        assert decide(_result(1e-3 + 2e-6, 5e-7), cfg) is False
+
+    def test_early_stop_keeps_verdict_on_random_pairs(self):
+        cfg = FWConfig(max_iter=2000)
+        basis = build_pauli_diagonal(3)
+        rng = np.random.default_rng(90)
+        capped = 0
+        for _ in range(6):
+            a, b = random_rank2_pair(rng)
+            full = moment_distance(a, b, basis, cfg)
+            early = moment_distance(a, b, basis, cfg, until_decided=True)
+            assert decide(full, cfg) is False
+            assert decide(early, cfg) is False
+            assert early.stop_reason in ("decided", "gap_met")
+            assert early.iterations <= cfg.max_iter // 100
+            capped += full.stop_reason == "budget"
+        assert capped >= 2  # the early stop is tested where it saves the most
+
+    def test_early_stop_keeps_verdict_on_grid_suite(self):
+        cfg = FWConfig()
+        basis = build_diagonal(3)
+        solved = 0
+        for a in grid_agreement_suite():
+            try:
+                spaces = extremal_eigenspaces(a)
+            except NormNotTwoSided:
+                continue
+            full = moment_distance(spaces.plus, spaces.minus, basis, cfg)
+            early = moment_distance(spaces.plus, spaces.minus, basis, cfg, until_decided=True)
+            assert decide(early, cfg) == decide(full, cfg)
+            assert decide(early, cfg) is not None
+            assert early.iterations <= min(full.iterations, cfg.max_iter // 100)
+            solved += 1
+        assert solved == 10
 
 
 class TestIntersects:

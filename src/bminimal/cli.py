@@ -173,7 +173,6 @@ def _cmd_best_approx(args: argparse.Namespace) -> int:
     cfg = SolverConfig(
         max_iter=args.max_iter,
         dist_tol=args.tol,
-        seed=args.seed,
         fw=FWConfig(gap_tol=args.gap_tol, dist_tol=args.tol),
     )
     result = best_approximation(fam, x0, cfg)

@@ -28,12 +28,14 @@ class ZeroMatrix(BMinError):
 class NormNotTwoSided(BMinError):
     """Either +||A|| or -||A|| is missing from the spectrum.
 
-    ``near`` is True when the deficit sits between one and two clustering
-    tolerances, i.e. too close to call either way.
+    Carries the ``norm`` of the matrix; ``near`` is True when the deficit
+    sits between one and two clustering tolerances, i.e. too close to call
+    either way.
     """
 
-    def __init__(self, message: str, near: bool = False):
+    def __init__(self, message: str, norm: float, near: bool = False):
         super().__init__(message)
+        self.norm = norm
         self.near = near
 
 

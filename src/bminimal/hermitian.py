@@ -56,6 +56,11 @@ class EigenDecomposition:
     vectors: np.ndarray      # (n, n) unitary, columns are eigenvectors
     residual: float          # ||A Q - Q diag(w)||_F against the input
 
+    @property
+    def norm(self) -> float:
+        """Operator norm of A: the larger magnitude of the two extreme eigenvalues."""
+        return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
+
 
 @dataclass(frozen=True)
 class EigenCluster:
@@ -180,8 +185,7 @@ def spectral_norm(a) -> float:
     arr = as_hermitian(a)
     if frobenius(arr) == 0.0:
         return 0.0
-    w = eig_hermitian(arr).eigenvalues
-    return float(max(abs(w[0]), abs(w[-1])))
+    return eig_hermitian(arr).norm
 
 
 def abs_hermitian(x) -> np.ndarray:

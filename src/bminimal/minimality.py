@@ -24,6 +24,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .hermitian import (
+    EigenDecomposition,
     abs_hermitian,
     as_hermitian,
     cluster_eigenvalues,
@@ -84,40 +85,51 @@ class MinimalityReport:
     certificate: Certificate | None = None
 
 
-def extremal_eigenspaces(a, tau: float | None = None) -> ExtremalSpaces:
-    """Cluster the spectrum and extract the eigenspaces at +-||A||.
+def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> ExtremalSpaces:
+    """The eigenspaces at +-||A|| of a decomposed nonzero A.
 
-    Raises ZeroMatrix for A = 0 and NormNotTwoSided when one of the signed
-    extremes is missing; the error's ``near`` flag marks deficits between
-    tau and 2 tau, where neither answer is trustworthy.
+    The norm is two-sided iff |lam_max + lam_min| <= tau (default
+    ``default_cluster_tol(||A||)``); otherwise NormNotTwoSided is raised,
+    carrying the norm and flagging deficits up to 2 tau as ``near``, where
+    neither answer is trustworthy.  This is the package's one two-sidedness
+    rule.
     """
-    mat = as_hermitian(a)
-    if frobenius(mat) == 0.0:
-        raise ZeroMatrix("the zero matrix has no extremal eigenspaces")
-    dec = eig_hermitian(mat)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    norm = max(abs(lam_min), abs(lam_max))
+    norm = dec.norm
     if tau is None:
         tau = default_cluster_tol(norm)
-    deficit = abs(lam_max + lam_min)
+    deficit = abs(float(dec.eigenvalues[-1] + dec.eigenvalues[0]))
     if deficit > tau:
         raise NormNotTwoSided(
             f"spectrum misses one of +-||A||: |lam_max + lam_min| = {deficit:.3e} "
             f"exceeds tau = {tau:.1e}",
+            norm=norm,
             near=deficit <= 2.0 * tau,
         )
     clusters = cluster_eigenvalues(dec, tau)
-    plus = clusters[-1]
-    minus = clusters[0]
     rest_frames = [c.frame for c in clusters[1:-1]]
     rest = Subspace(np.hstack(rest_frames)) if rest_frames else None
     return ExtremalSpaces(
         norm=norm,
-        plus=Subspace(plus.frame),
-        minus=Subspace(minus.frame),
+        plus=Subspace(clusters[-1].frame),
+        minus=Subspace(clusters[0].frame),
         rest=rest,
     )
+
+
+def _decompose(a) -> EigenDecomposition:
+    mat = as_hermitian(a)
+    if frobenius(mat) == 0.0:
+        raise ZeroMatrix("the zero matrix has no extremal eigenspaces")
+    return eig_hermitian(mat)
+
+
+def extremal_eigenspaces(a, tau: float | None = None) -> ExtremalSpaces:
+    """Validate, decompose and split A: its eigenspaces at +-||A||.
+
+    Raises ZeroMatrix for A = 0 and NormNotTwoSided (see ``spectral_split``)
+    when one of the signed extremes is missing.
+    """
+    return spectral_split(_decompose(a), tau)
 
 
 def build_certificate(
@@ -163,8 +175,7 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     if float(np.max(np.abs(coords))) > tol * max(1.0, norm_x):
         return False
     cand = (cand + cand.conj().T) / 2
-    w = eig_hermitian(mat).eigenvalues
-    norm_a = max(abs(float(w[0])), abs(float(w[-1])))
+    norm_a = eig_hermitian(mat).norm
     residual = frobenius(mat @ cand - norm_a * abs_hermitian(cand))
     return residual <= tol * max(1.0, norm_a * norm_x)
 
@@ -177,51 +188,46 @@ def check_minimal(
 ) -> MinimalityReport:
     """Certify minimality of A relative to the (unital) subalgebra.
 
-    Pipeline: extract the eigenspaces at +-||A|| (their absence settles the
-    question for a unital algebra), then decide whether their moments
-    intersect.  A positive answer is always accompanied by a certificate
-    built from the feasibility witnesses; an inconclusive gap yields the
-    verdict "undecided" rather than a guess.
+    Pipeline: decompose A once and split off the eigenspaces at +-||A||
+    (their absence settles the question for a unital algebra), then decide
+    whether their moments intersect.  A positive answer is always
+    accompanied by a certificate built from the feasibility witnesses; an
+    inconclusive gap yields the verdict "undecided" rather than a guess.
     """
     if not contains_identity(basis):
         raise NonUnitalBasis("minimality tests require the identity in the span")
-    try:
-        spaces = extremal_eigenspaces(a, tau)
-    except NormNotTwoSided as err:
-        mat = as_hermitian(a)
-        dec = eig_hermitian(mat)
-        norm = max(abs(float(dec.eigenvalues[0])), abs(float(dec.eigenvalues[-1])))
-        verdict = UNDECIDED if err.near else NOT_MINIMAL
-        return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=norm)
+    return _verdict(a, _decompose(a), basis, cfg, tau)
 
+
+_OUTCOMES = {
+    True: (MINIMAL, REASON_CERTIFICATE),
+    False: (NOT_MINIMAL, REASON_DISJOINT),
+    None: (UNDECIDED, REASON_GAP),
+}
+
+
+def _verdict(
+    a, dec: EigenDecomposition, basis: SubalgebraBasis, cfg: FWConfig, tau: float | None = None
+) -> MinimalityReport:
+    """The check_minimal verdict on A from its decomposition ``dec``."""
+    try:
+        spaces = spectral_split(dec, tau)
+    except NormNotTwoSided as err:
+        verdict = UNDECIDED if err.near else NOT_MINIMAL
+        return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=err.norm)
     res = moment_distance(spaces.plus, spaces.minus, basis, cfg, until_decided=True)
     answer = decide(res, cfg)
+    cert = None
     if answer:
-        cert = build_certificate(
-            a, spaces, res.witness_plus, res.witness_minus, basis=basis
-        )
-        return MinimalityReport(
-            verdict=MINIMAL,
-            reason=REASON_CERTIFICATE,
-            norm=spaces.norm,
-            distance=res.distance,
-            gap=res.gap,
-            certificate=cert,
-        )
-    if answer is False:
-        return MinimalityReport(
-            verdict=NOT_MINIMAL,
-            reason=REASON_DISJOINT,
-            norm=spaces.norm,
-            distance=res.distance,
-            gap=res.gap,
-        )
+        cert = build_certificate(a, spaces, res.witness_plus, res.witness_minus, basis=basis)
+    verdict, reason = _OUTCOMES[answer]
     return MinimalityReport(
-        verdict=UNDECIDED,
-        reason=REASON_GAP,
+        verdict=verdict,
+        reason=reason,
         norm=spaces.norm,
         distance=res.distance,
         gap=res.gap,
+        certificate=cert,
     )
 
 
@@ -261,8 +267,7 @@ def construct_minimal(
         rest = np.zeros((v.n, v.n), dtype=complex)
     else:
         rest = as_hermitian(r)
-        dec = eig_hermitian(rest)
-        r_norm = max(abs(float(dec.eigenvalues[0])), abs(float(dec.eigenvalues[-1])))
+        r_norm = eig_hermitian(rest).norm
         if r_norm > lam + 1e-10:
             raise PerturbationTooLarge(f"||R|| = {r_norm:.6g} exceeds lam = {lam:.6g}")
         overlap = frobenius(rest @ (pv + pw))

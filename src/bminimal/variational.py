@@ -3,9 +3,12 @@
 The top eigenvalue of A(x) is convex in x and its subdifferential equals
 the moment of the top eigenspace; the bottom eigenvalue mirrors it with a
 sign.  Minimality of A(x) is the condition 0 in d(lambda_max) +
-d(lambda_min), decided by the same moment-intersection machinery used by
-the certification route, and a subgradient method drives the best
-approximation dist(A0, B) = min_x ||A(x)||.
+d(lambda_min); since each subdifferential is the moment of its extremal
+eigenspace, that condition is exactly the certification test, and
+``is_minimal_variational`` is ``check_minimal`` on A(x).  A subgradient
+method drives the best approximation dist(A0, B) = min_x ||A(x)||,
+decomposing each point it evaluates once and reusing that decomposition
+for the same verdict pipeline as its optimality test.
 """
 
 from __future__ import annotations
@@ -14,29 +17,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SubalgebraBasis, compress, contains_identity
-from .errors import NonUnitalBasis, ZeroMatrix
-from .hermitian import as_hermitian, cluster_eigenvalues, eig_hermitian, frobenius
+from .algebra import SubalgebraBasis, compress
+from .errors import NormNotTwoSided, ZeroMatrix
+from .hermitian import (
+    EigenDecomposition,
+    as_hermitian,
+    cluster_eigenvalues,
+    eig_hermitian,
+    frobenius,
+)
 from .minimality import (
     MINIMAL,
-    NOT_MINIMAL,
-    REASON_CERTIFICATE,
-    REASON_DISJOINT,
-    REASON_GAP,
-    REASON_NORM,
-    UNDECIDED,
     MinimalityReport,
-    build_certificate,
+    _verdict,
+    check_minimal,
     default_cluster_tol,
-    ExtremalSpaces,
+    spectral_split,
 )
 from .moment import (
     CompressedFamily,
     FWConfig,
     Subspace,
     compress_family,
-    decide,
-    moment_distance,
     support_function,
 )
 
@@ -77,8 +79,8 @@ class SubdifferentialView:
     """A subdifferential exposed as moment handles of extremal eigenspaces.
 
     For the bottom eigenvalue the stored handle is the moment of its
-    eigenspace; the view itself is the negative of that set (sign_min), and
-    the sign matters only when sets from both sides are combined.
+    eigenspace; the view itself is the negative of that set, and the sign
+    matters only when sets from both sides are combined.
     ``support(w)`` returns the one-sided directional derivative of the
     underlying function (top eigenvalue, bottom eigenvalue, or norm).
     """
@@ -86,7 +88,6 @@ class SubdifferentialView:
     kind: str
     moment_max: CompressedFamily | None = None
     moment_min: CompressedFamily | None = None
-    sign_min: int = -1
 
     def support(self, w) -> float:
         vec = np.asarray(w, dtype=float)
@@ -110,7 +111,6 @@ class SolverConfig:
     c: float | None = None  # step scale; defaults to ||A(x0)||
     max_iter: int = 2000
     dist_tol: float = 1e-6
-    seed: int = 0
     fw: FWConfig = field(default_factory=FWConfig)
 
     def __post_init__(self):
@@ -132,20 +132,17 @@ class BestApproxResult:
     converged: bool
 
 
-def _extreme_cluster(fam: AffineFamily, x, top: bool, tau: float | None):
-    a = fam.evaluate(x)
-    dec = eig_hermitian(a)
-    norm = max(abs(float(dec.eigenvalues[0])), abs(float(dec.eigenvalues[-1])))
+def _extreme_space(dec: EigenDecomposition, top: bool, tau: float | None) -> Subspace:
+    """The top (or bottom) eigenvalue cluster of a decomposition."""
     if tau is None:
-        tau = default_cluster_tol(norm)
+        tau = default_cluster_tol(dec.norm)
     clusters = cluster_eigenvalues(dec, tau)
-    cluster = clusters[-1] if top else clusters[0]
-    return Subspace(cluster.frame), dec, tau
+    return Subspace((clusters[-1] if top else clusters[0]).frame)
 
 
 def subdiff_lambda_max(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
     """Subdifferential of the top eigenvalue: the moment of its eigenspace."""
-    space, _, _ = _extreme_cluster(fam, x, top=True, tau=tau)
+    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True, tau=tau)
     return SubdifferentialView(
         kind=KIND_LAMBDA_MAX, moment_max=compress_family(space, fam.basis)
     )
@@ -154,7 +151,7 @@ def subdiff_lambda_max(fam: AffineFamily, x, tau: float | None = None) -> Subdif
 def subdiff_lambda_min(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
     """Bottom-eigenvalue counterpart; the handle stores the moment of the
     bottom eigenspace and the view is its negative."""
-    space, _, _ = _extreme_cluster(fam, x, top=False, tau=tau)
+    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=False, tau=tau)
     return SubdifferentialView(
         kind=KIND_LAMBDA_MIN, moment_min=compress_family(space, fam.basis)
     )
@@ -166,8 +163,7 @@ def directional_derivative(fam: AffineFamily, x, w) -> float:
     vec = np.asarray(w, dtype=float)
     if vec.shape != (fam.t,):
         raise ValueError(f"expected w of length {fam.t}, got shape {vec.shape}")
-    space, _, _ = _extreme_cluster(fam, x, top=True, tau=None)
-    q = space.frame
+    q = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True, tau=None).frame
     direction = np.einsum("k,kij->ij", vec, fam.basis.elements)
     compressed = q.conj().T @ direction @ q
     compressed = (compressed + compressed.conj().T) / 2
@@ -177,32 +173,24 @@ def directional_derivative(fam: AffineFamily, x, w) -> float:
 
 
 def subdiff_norm(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
-    """Subdifferential of ||A(x)||: the active extreme side, or the hull of
-    both when the top and bottom eigenvalues tie in magnitude."""
+    """Subdifferential of ||A(x)||: the hull of both extreme sides when the
+    norm is two-sided by ``spectral_split``'s rule, else the active side."""
     a = fam.evaluate(x)
     if frobenius(a) == 0.0:
         raise ZeroMatrix("the norm is not differentiable at the zero matrix")
     dec = eig_hermitian(a)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    norm = max(abs(lam_min), abs(lam_max))
-    if tau is None:
-        tau = default_cluster_tol(norm)
-    clusters = cluster_eigenvalues(dec, tau)
-    if abs(lam_max + lam_min) <= 2.0 * tau:
-        return SubdifferentialView(
-            kind=KIND_NORM_BOTH,
-            moment_max=compress_family(Subspace(clusters[-1].frame), fam.basis),
-            moment_min=compress_family(Subspace(clusters[0].frame), fam.basis),
-        )
-    if lam_max > -lam_min:
-        return SubdifferentialView(
-            kind=KIND_NORM_MAX,
-            moment_max=compress_family(Subspace(clusters[-1].frame), fam.basis),
-        )
+    try:
+        spaces = spectral_split(dec, tau)
+    except NormNotTwoSided:
+        top = dec.eigenvalues[-1] > -dec.eigenvalues[0]
+        moment = compress_family(_extreme_space(dec, top, tau), fam.basis)
+        if top:
+            return SubdifferentialView(kind=KIND_NORM_MAX, moment_max=moment)
+        return SubdifferentialView(kind=KIND_NORM_MIN, moment_min=moment)
     return SubdifferentialView(
-        kind=KIND_NORM_MIN,
-        moment_min=compress_family(Subspace(clusters[0].frame), fam.basis),
+        kind=KIND_NORM_BOTH,
+        moment_max=compress_family(spaces.plus, fam.basis),
+        moment_min=compress_family(spaces.minus, fam.basis),
     )
 
 
@@ -214,98 +202,35 @@ def is_minimal_variational(
 ) -> MinimalityReport:
     """Minimality of A(x) via 0 in d(lambda_max) + d(lambda_min).
 
-    The hypothesis lambda_max = -lambda_min is checked first (it fails
-    exactly when the norm is one-sided); then the moments of the two
-    extremal eigenspaces are intersected, mirroring the certification
-    route so the two verdicts agree.
+    Each subdifferential is the moment of its extremal eigenspace, so the
+    condition is the certification test itself: this is ``check_minimal``
+    on A(x).
     """
-    if not contains_identity(fam.basis):
-        raise NonUnitalBasis("minimality tests require the identity in the span")
-    a = fam.evaluate(x)
-    if frobenius(a) == 0.0:
-        raise ZeroMatrix("A(x) must be nonzero")
-    dec = eig_hermitian(a)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    norm = max(abs(lam_min), abs(lam_max))
-    if tau is None:
-        tau = default_cluster_tol(norm)
-    deficit = abs(lam_max + lam_min)
-    if deficit > tau:
-        verdict = UNDECIDED if deficit <= 2.0 * tau else NOT_MINIMAL
-        return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=norm)
-    clusters = cluster_eigenvalues(dec, tau)
-    s_max = Subspace(clusters[-1].frame)
-    s_min = Subspace(clusters[0].frame)
-    res = moment_distance(s_max, s_min, fam.basis, cfg, until_decided=True)
-    answer = decide(res, cfg)
-    if answer:
-        spaces = ExtremalSpaces(norm=norm, plus=s_max, minus=s_min, rest=None)
-        cert = build_certificate(
-            a, spaces, res.witness_plus, res.witness_minus, basis=fam.basis
-        )
-        return MinimalityReport(
-            verdict=MINIMAL,
-            reason=REASON_CERTIFICATE,
-            norm=norm,
-            distance=res.distance,
-            gap=res.gap,
-            certificate=cert,
-        )
-    if answer is False:
-        return MinimalityReport(
-            verdict=NOT_MINIMAL,
-            reason=REASON_DISJOINT,
-            norm=norm,
-            distance=res.distance,
-            gap=res.gap,
-        )
-    return MinimalityReport(
-        verdict=UNDECIDED,
-        reason=REASON_GAP,
-        norm=norm,
-        distance=res.distance,
-        gap=res.gap,
-    )
+    return check_minimal(fam.evaluate(x), fam.basis, cfg, tau)
 
 
-def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray]:
-    """||A(x)|| and one subgradient of it.
+def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, EigenDecomposition]:
+    """||A(x)||, one subgradient of it, and the decomposition of A(x).
 
     The subgradient is the moment coordinate vector of the extreme
     eigenvector on the active side (negated on the bottom side); ties go to
     the top side.
     """
-    a = fam.evaluate(x)
-    dec = eig_hermitian(a)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    if lam_max >= -lam_min:
-        v = dec.vectors[:, -1]
-        g = np.real(np.einsum("i,kij,j->k", v.conj(), fam.basis.elements, v))
-        return lam_max, g
-    v = dec.vectors[:, 0]
-    g = -np.real(np.einsum("i,kij,j->k", v.conj(), fam.basis.elements, v))
-    return -lam_min, g
+    dec = eig_hermitian(fam.evaluate(x))
+    top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
+    v = dec.vectors[:, -1 if top else 0]
+    g = np.real(np.einsum("i,kij,j->k", v.conj(), fam.basis.elements, v))
+    return dec.norm, (g if top else -g), dec
 
 
-def _certified_optimal(fam: AffineFamily, x, norm: float, cfg: SolverConfig) -> bool:
-    """0 in d||A(x)|| certified through the moment intersection test."""
-    if norm <= cfg.dist_tol:
+def _certified_optimal(
+    fam: AffineFamily, x, dec: EigenDecomposition, cfg: SolverConfig
+) -> bool:
+    """0 in d||A(x)||, given the decomposition of A(x): the norm is below
+    dist_tol, or the check_minimal pipeline says minimal."""
+    if dec.norm <= cfg.dist_tol:
         return True
-    a = fam.evaluate(x)
-    dec = eig_hermitian(a)
-    lam_min = float(dec.eigenvalues[0])
-    lam_max = float(dec.eigenvalues[-1])
-    tau = default_cluster_tol(norm)
-    if abs(lam_max + lam_min) > 2.0 * tau:
-        return False
-    clusters = cluster_eigenvalues(dec, tau)
-    res = moment_distance(
-        Subspace(clusters[-1].frame), Subspace(clusters[0].frame), fam.basis, cfg.fw,
-        until_decided=True,
-    )
-    return decide(res, cfg.fw) is True
+    return _verdict(fam.evaluate(x), dec, fam.basis, cfg.fw).verdict == MINIMAL
 
 
 def best_approximation(
@@ -318,9 +243,10 @@ def best_approximation(
     The Frobenius projection of A0 onto the span (x = -coordinates of A0)
     is evaluated as a deterministic warm-start candidate alongside x0, and
     iteration starts from the better of the two.  The best iterate is
-    tracked throughout; convergence is declared when the optimality
-    condition 0 in d||A(x)|| is certified at a two-sided iterate (or the
-    norm itself falls below dist_tol), otherwise the cap is reported.
+    tracked throughout; convergence is declared when the check_minimal
+    pipeline certifies the optimality condition 0 in d||A(x)|| at an
+    improved iterate (or the norm itself falls below dist_tol), otherwise
+    the cap is reported.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (fam.t,):
@@ -329,13 +255,14 @@ def best_approximation(
     # seed the search with the start point, the unperturbed point, and the
     # Frobenius projection of A0 onto the span; iterate from the best one
     candidates = [x, np.zeros(fam.t), -compress(fam.a0, fam.basis)]
-    values = [_norm_and_subgradient(fam, cand)[0] for cand in candidates]
-    x = candidates[int(np.argmin(values))]
+    evaluated = [_norm_and_subgradient(fam, cand) for cand in candidates]
+    pick = int(np.argmin([f for f, _, _ in evaluated]))
+    x = candidates[pick]
+    best_f, g, dec = evaluated[pick]
 
     best_x = x.copy()
-    best_f, g = _norm_and_subgradient(fam, x)
     norms = [best_f]
-    converged = _certified_optimal(fam, best_x, best_f, cfg)
+    converged = _certified_optimal(fam, best_x, dec, cfg)
     if not converged:
         c = cfg.c if cfg.c is not None else max(best_f, 1.0)
         for k in range(1, cfg.max_iter + 1):
@@ -343,12 +270,12 @@ def best_approximation(
             if gnorm == 0.0:
                 break
             x = x - (c / np.sqrt(k)) * g
-            f, g = _norm_and_subgradient(fam, x)
+            f, g, dec = _norm_and_subgradient(fam, x)
             norms.append(f)
             if f < best_f:
                 best_f = f
                 best_x = x.copy()
-                if _certified_optimal(fam, best_x, best_f, cfg):
+                if _certified_optimal(fam, best_x, dec, cfg):
                     converged = True
                     break
     trace = np.column_stack((np.arange(len(norms), dtype=float), norms))

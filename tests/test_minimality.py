@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bminimal import minimality
 from bminimal.algebra import build_block, build_diagonal, orthonormalize
 from bminimal.errors import (
     NonUnitalBasis,
@@ -72,9 +73,11 @@ class TestExtremalEigenspaces:
         with pytest.raises(NormNotTwoSided) as info:
             extremal_eigenspaces(np.diag([1.0, -1.0 + 1.5 * tau]), tau=tau)
         assert info.value.near
+        assert info.value.norm == 1.0
         with pytest.raises(NormNotTwoSided) as info:
             extremal_eigenspaces(np.diag([1.0, -0.5]), tau=tau)
         assert not info.value.near
+        assert info.value.norm == 1.0
 
     def test_rest_space(self):
         spaces = extremal_eigenspaces(np.diag([1.0, 0.25, -1.0]))
@@ -104,10 +107,20 @@ class TestCheckMinimal:
         report = check_minimal(m_block(1.0, 0.5), block_basis())
         assert report.verdict == MINIMAL
 
-    def test_one_sided_not_minimal(self):
+    def test_one_sided_not_minimal(self, monkeypatch):
+        real = minimality.eig_hermitian
+        calls = []
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(minimality, "eig_hermitian", counting)
         report = check_minimal(m_block(1.0, 2.0), block_basis())
         assert report.verdict == NOT_MINIMAL
         assert report.reason == REASON_NORM
+        assert report.norm == pytest.approx(2.0, abs=1e-12)
+        assert len(calls) == 1  # the verdict and its norm come from one decomposition
 
     def test_requires_unital(self):
         e1 = np.zeros((3, 3))

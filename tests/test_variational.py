@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
+from bminimal import minimality, variational
 from bminimal.algebra import build_diagonal, build_pauli_diagonal, orthonormalize
 from bminimal.errors import NonUnitalBasis, ZeroMatrix
 from bminimal.hermitian import eig_hermitian, spectral_norm
-from bminimal.minimality import MINIMAL, NOT_MINIMAL, check_minimal
+from bminimal.minimality import (
+    MINIMAL,
+    NOT_MINIMAL,
+    UNDECIDED,
+    check_minimal,
+    default_cluster_tol,
+)
 from bminimal.moment import support_function
 from bminimal.variational import (
     AffineFamily,
     SolverConfig,
+    _certified_optimal,
     best_approximation,
     directional_derivative,
     is_minimal_variational,
@@ -28,6 +36,36 @@ def fam_x():
 
 def lam_max(fam, x):
     return float(eig_hermitian(fam.evaluate(x)).eigenvalues[-1])
+
+
+def certified(fam, result, cfg=SolverConfig()):
+    """What ``converged`` promises: check_minimal says minimal at x_star, or
+    the distance itself is below dist_tol."""
+    return (result.dist <= cfg.dist_tol
+            or check_minimal(fam.evaluate(result.x_star), fam.basis).verdict == MINIMAL)
+
+
+class TestTwoSidedBoundary:
+    def test_one_rule_on_every_route(self):
+        # [[d/2, 1], [1, d/2]] has eigenvalues d/2 +- 1: the deficit
+        # |lam_max + lam_min| is d, and the extreme eigenvectors (1, +-1)/sqrt(2)
+        # share the moment (1/2, 1/2) against the diagonals
+        basis = build_diagonal(2)
+        tau = default_cluster_tol(1.0)
+        expected = [(0.5, MINIMAL, "norm_both", True),
+                    (1.5, UNDECIDED, "norm_max_side", False),
+                    (2.5, NOT_MINIMAL, "norm_max_side", False)]
+        for factor, verdict, kind, optimal in expected:
+            d = factor * tau
+            a = np.array([[d / 2, 1.0], [1.0, d / 2]])
+            fam = AffineFamily(a, basis)
+            x = np.zeros(2)
+            assert default_cluster_tol(spectral_norm(a)) == pytest.approx(tau, rel=1e-7)
+            assert check_minimal(a, basis).verdict == verdict
+            assert is_minimal_variational(fam, x).verdict == verdict
+            assert subdiff_norm(fam, x).kind == kind
+            dec = eig_hermitian(fam.evaluate(x))
+            assert _certified_optimal(fam, x, dec, SolverConfig()) is optimal
 
 
 class TestEvaluate:
@@ -230,18 +268,38 @@ class TestBestApproximation:
         assert abs(result.dist - 1.0) <= 0.02
         assert np.linalg.norm(result.x_star) <= 0.05
         assert result.converged
+        assert certified(fam_x(), result)
 
     def test_member_of_algebra(self):
         fam = AffineFamily(np.diag([1.0, 2.0]), build_diagonal(2))
         result = best_approximation(fam, np.zeros(2))
         assert result.dist <= 1e-6
         assert result.converged
+        assert certified(fam, result)
 
     def test_m1_distance_is_norm(self):
         fam = AffineFamily(M1, build_diagonal(3))
         result = best_approximation(fam, np.zeros(3))
         assert result.dist == pytest.approx(1.0, abs=1e-9)
         assert result.converged
+        assert certified(fam, result)
+
+    def test_one_decomposition_per_point(self, monkeypatch):
+        real = variational.eig_hermitian
+        calls = []
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(variational, "eig_hermitian", counting)
+        monkeypatch.setattr(minimality, "eig_hermitian", counting)
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
+        result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=25))
+        assert not result.converged and len(result.trace) == 26
+        # three start candidates, then one point per step; the optimality
+        # test reuses each improved point's decomposition
+        assert len(calls) == 3 + 25
 
     def test_never_below_grid_optimum(self):
         from oracles import grid_min_diag_norm

@@ -41,8 +41,6 @@ from .hermitian import (
     cluster_eigenvalues,
     eig_hermitian,
     min_eigpair,
-    project_density,
-    project_simplex,
     spectral_norm,
 )
 from .minimality import (

@@ -49,6 +49,21 @@ class SubalgebraBasis:
     def dim(self) -> int:
         return self.elements.shape[0]
 
+    def coords(self, x) -> np.ndarray:
+        """The traces (tr(B_k X))_k of an n x n matrix X; real up to rounding
+        when X is Hermitian."""
+        return np.einsum("kij,ji->k", self.elements, x)
+
+    def combine(self, w) -> np.ndarray:
+        """The combination sum_k w_k B_k of a length-t coefficient vector."""
+        return np.einsum("k,kij->ij", w, self.elements)
+
+    def compress_to(self, frame) -> np.ndarray:
+        """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q."""
+        q = np.asarray(frame)
+        mats = q.conj().T @ (self.elements @ q)
+        return (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2
+
 
 def build_diagonal(n: int) -> SubalgebraBasis:
     """Rank-one diagonal projections e_i e_i*, the standard basis of D_n."""
@@ -163,7 +178,7 @@ def compress(rho, basis: SubalgebraBasis) -> np.ndarray:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (basis.n, basis.n):
         raise ValueError(f"shape {mat.shape} does not match basis ambient n = {basis.n}")
-    coords = np.einsum("kij,ji->k", basis.elements, mat)
+    coords = basis.coords(mat)
     imag = float(np.max(np.abs(coords.imag))) if coords.size else 0.0
     if imag > _IMAG_RESIDUE_TOL * max(1.0, frobenius(mat)):
         raise ValueError(f"coordinates have imaginary residue {imag:.3e}; input not Hermitian?")
@@ -174,7 +189,7 @@ def contains_identity(basis: SubalgebraBasis, tol: float = UNIT_TOL) -> bool:
     """True when I_n lies in the real span of the basis."""
     eye = np.eye(basis.n, dtype=complex)
     coeffs = compress(eye, basis)
-    residual = frobenius(eye - np.einsum("k,kij->ij", coeffs, basis.elements))
+    residual = frobenius(eye - basis.combine(coeffs))
     return residual <= tol * np.sqrt(basis.n)
 
 
@@ -184,8 +199,7 @@ def verify_closed(basis: SubalgebraBasis, tol: float = 1e-10) -> bool:
     for i in range(basis.dim):
         for j in range(basis.dim):
             prod = elems[i] @ elems[j]
-            coeffs = np.einsum("kij,ji->k", elems, prod)
-            residual = frobenius(prod - np.einsum("k,kij->ij", coeffs, elems))
+            residual = frobenius(prod - basis.combine(basis.coords(prod)))
             if residual > tol:
                 return False
     return True
@@ -218,5 +232,4 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
 def in_trace_orthocomplement(x, basis: SubalgebraBasis, tol: float) -> bool:
     """True iff max_k |tr(X B_k)| <= tol * max(1, ||X||_F)."""
     mat = np.asarray(x, dtype=complex)
-    coords = np.einsum("kij,ji->k", basis.elements, mat)
-    return float(np.max(np.abs(coords))) <= tol * max(1.0, frobenius(mat))
+    return float(np.max(np.abs(basis.coords(mat)))) <= tol * max(1.0, frobenius(mat))

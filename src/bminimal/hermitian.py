@@ -1,8 +1,7 @@
 """Dense complex Hermitian linear algebra.
 
 Everything downstream (moments, certificates, subdifferentials) reduces to
-eigendecompositions of small dense Hermitian matrices, plus Euclidean
-projections onto the probability simplex and the density-matrix set.
+eigendecompositions of small dense Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -193,30 +192,6 @@ def abs_hermitian(x) -> np.ndarray:
     arr = as_hermitian(x)
     dec = eig_hermitian(arr)
     out = (dec.vectors * np.abs(dec.eigenvalues)[np.newaxis, :]) @ dec.vectors.conj().T
-    return (out + out.conj().T) / 2
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1} by sort-and-threshold."""
-    vec = np.asarray(v, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("expected a nonempty vector")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("vector entries must be finite")
-    u = np.sort(vec)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, vec.size + 1)
-    rho = int(np.nonzero(u * j > css - 1.0)[0][-1])
-    theta = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(vec - theta, 0.0)
-
-
-def project_density(m) -> np.ndarray:
-    """Frobenius-nearest density matrix: eigenvalues projected onto the simplex."""
-    arr = as_hermitian(m)
-    dec = eig_hermitian(arr)
-    lam = project_simplex(dec.eigenvalues)
-    out = (dec.vectors * lam[np.newaxis, :]) @ dec.vectors.conj().T
     return (out + out.conj().T) / 2
 
 

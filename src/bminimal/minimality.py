@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SubalgebraBasis, contains_identity
+from .algebra import SubalgebraBasis, contains_identity, in_trace_orthocomplement
 from .errors import (
     NonUnitalBasis,
     NormNotTwoSided,
@@ -150,8 +150,7 @@ def build_certificate(
     residual_eq = frobenius(mat @ x - spaces.norm * abs_hermitian(x))
     residual_perp = 0.0
     if basis is not None:
-        coords = np.einsum("kij,ji->k", basis.elements, x)
-        residual_perp = float(np.max(np.abs(coords)))
+        residual_perp = float(np.max(np.abs(basis.coords(x))))
     return Certificate(
         x=x,
         rho_plus=rp,
@@ -171,8 +170,7 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
         return False
     if norm_x <= tol:
         return False
-    coords = np.einsum("kij,ji->k", basis.elements, cand)
-    if float(np.max(np.abs(coords))) > tol * max(1.0, norm_x):
+    if not in_trace_orthocomplement(cand, basis, tol):
         return False
     cand = (cand + cand.conj().T) / 2
     norm_a = eig_hermitian(mat).norm

@@ -114,10 +114,7 @@ def compress_family(s: Subspace, basis: SubalgebraBasis) -> CompressedFamily:
     """Compress each basis element to the frame: mats[k] = Q* B_k Q."""
     if s.n != basis.n:
         raise ValueError(f"subspace ambient {s.n} does not match basis ambient {basis.n}")
-    q = s.frame
-    mats = np.einsum("ja,kjl,lb->kab", q.conj(), basis.elements, q)
-    mats = (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2
-    return CompressedFamily(subspace=s, mats=mats)
+    return CompressedFamily(subspace=s, mats=basis.compress_to(s.frame))
 
 
 def moment_of_density(fam: CompressedFamily, r) -> np.ndarray:
@@ -175,10 +172,6 @@ def jnr_support(fam: CompressedFamily, w) -> float:
     return max(0.0, support_function(fam, w))
 
 
-def _phi(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("kij,ji->k", mats, rho))
-
-
 class _Progress(NamedTuple):
     distance: float
     gap: float
@@ -223,10 +216,10 @@ def moment_distance(
     """
     if s1.n != s2.n:
         raise ValueError("subspaces live in different ambient dimensions")
-    mats1 = compress_family(s1, basis).mats
-    mats2 = compress_family(s2, basis).mats
-    flat1 = mats1.reshape(mats1.shape[0], -1)
-    flat2 = mats2.reshape(mats2.shape[0], -1)
+    fam1 = compress_family(s1, basis)
+    fam2 = compress_family(s2, basis)
+    flat1 = fam1.mats.reshape(basis.dim, -1)
+    flat2 = fam2.mats.reshape(basis.dim, -1)
     # conj(M_k) flattened: the moment of a vertex vv* is Re(conj_k . vec(vv*))
     conj1 = flat1.conj()
     conj2 = flat2.conj()
@@ -234,7 +227,7 @@ def moment_distance(
     r2 = np.eye(s2.r, dtype=complex) / s2.r
 
     # d = phi1(R1) - phi2(R2), the difference of the running moments
-    d = _phi(mats1, r1) - _phi(mats2, r2)
+    d = moment_of_density(fam1, r1) - moment_of_density(fam2, r2)
     gap = np.inf
     it = 0
     stop = STOP_BUDGET
@@ -265,8 +258,9 @@ def moment_distance(
         d += step * u
     r1 = (r1 + r1.conj().T) / 2
     r2 = (r2 + r2.conj().T) / 2
+    d = moment_of_density(fam1, r1) - moment_of_density(fam2, r2)
     return FWResult(
-        distance=float(np.linalg.norm(_phi(mats1, r1) - _phi(mats2, r2))),
+        distance=float(np.linalg.norm(d)),
         witness_plus=r1,
         witness_minus=r2,
         gap=gap,

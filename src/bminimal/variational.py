@@ -70,7 +70,7 @@ class AffineFamily:
         vec = np.asarray(x, dtype=float)
         if vec.shape != (self.t,):
             raise ValueError(f"expected x of length {self.t}, got shape {vec.shape}")
-        out = self.a0 + np.einsum("k,kij->ij", vec, self.basis.elements)
+        out = self.a0 + self.basis.combine(vec)
         return (out + out.conj().T) / 2
 
 
@@ -105,17 +105,13 @@ class SubdifferentialView:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget and step rule for the subgradient best-approximation loop."""
+    """Budget for the subgradient best-approximation loop."""
 
-    step_rule: str = "diminishing"
-    c: float | None = None  # step scale; defaults to ||A(x0)||
     max_iter: int = 2000
     dist_tol: float = 1e-6
     fw: FWConfig = field(default_factory=FWConfig)
 
     def __post_init__(self):
-        if self.step_rule != "diminishing":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.dist_tol <= 0:
@@ -158,18 +154,10 @@ def subdiff_lambda_min(fam: AffineFamily, x, tau: float | None = None) -> Subdif
 
 
 def directional_derivative(fam: AffineFamily, x, w) -> float:
-    """One-sided derivative of the top eigenvalue along w: the top eigenvalue
-    of the direction matrix compressed to the current top eigenspace."""
-    vec = np.asarray(w, dtype=float)
-    if vec.shape != (fam.t,):
-        raise ValueError(f"expected w of length {fam.t}, got shape {vec.shape}")
-    q = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True, tau=None).frame
-    direction = np.einsum("k,kij->ij", vec, fam.basis.elements)
-    compressed = q.conj().T @ direction @ q
-    compressed = (compressed + compressed.conj().T) / 2
-    if frobenius(compressed) == 0.0:
-        return 0.0
-    return float(eig_hermitian(compressed).eigenvalues[-1])
+    """One-sided derivative of the top eigenvalue along w: the support of its
+    subdifferential, the top eigenvalue of sum_k w_k Q* B_k Q on the current
+    top eigenspace Q."""
+    return subdiff_lambda_max(fam, x).support(w)
 
 
 def subdiff_norm(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
@@ -219,7 +207,7 @@ def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, Eige
     dec = eig_hermitian(fam.evaluate(x))
     top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
     v = dec.vectors[:, -1 if top else 0]
-    g = np.real(np.einsum("i,kij,j->k", v.conj(), fam.basis.elements, v))
+    g = fam.basis.coords(np.outer(v, v.conj())).real
     return dec.norm, (g if top else -g), dec
 
 
@@ -264,7 +252,7 @@ def best_approximation(
     norms = [best_f]
     converged = _certified_optimal(fam, best_x, dec, cfg)
     if not converged:
-        c = cfg.c if cfg.c is not None else max(best_f, 1.0)
+        c = max(best_f, 1.0)  # step scale ||A(x_start)||
         for k in range(1, cfg.max_iter + 1):
             gnorm = float(np.linalg.norm(g))
             if gnorm == 0.0:

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bminimal
 from bminimal.algebra import (
     SubalgebraBasis,
     build_block,
@@ -261,3 +265,44 @@ class TestValidation:
         bad = np.stack([np.eye(2), np.eye(2)]).astype(complex)
         with pytest.raises(ValueError, match="orthonormal"):
             SubalgebraBasis(elements=bad)
+
+
+def reference_bases():
+    rng = np.random.default_rng(23)
+    return [
+        build_diagonal(4),
+        build_block([(2, "diagonal"), (2, "full")]),
+        build_pauli_diagonal(2),
+        build_pauli_diagonal(3),
+        orthonormalize([rand_hermitian(rng, 4) for _ in range(3)]),
+    ]
+
+
+class TestBasisMaps:
+    """coords, combine and compress_to against explicit per-element loops."""
+
+    @pytest.mark.parametrize("basis", reference_bases(), ids=lambda b: f"{b.label}-{b.n}")
+    def test_against_loops(self, basis):
+        rng = np.random.default_rng(29)
+        n, t = basis.n, basis.dim
+        for r in (1, 2, n):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            w = rng.standard_normal(t)
+            q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+            coords = [np.trace(b @ x) for b in basis.elements]
+            combined = sum(wk * b for wk, b in zip(w, basis.elements))
+            compressed = [q.conj().T @ b @ q for b in basis.elements]
+            assert np.max(np.abs(basis.coords(x) - coords)) <= 1e-12
+            assert np.max(np.abs(basis.combine(w) - combined)) <= 1e-12
+            stack = basis.compress_to(q)
+            assert stack.shape == (t, r, r)
+            assert np.max(np.abs(stack - compressed)) <= 1e-12
+            assert np.array_equal(stack, np.conj(np.transpose(stack, (0, 2, 1))))
+
+    def test_only_algebra_and_io_read_the_stack(self):
+        src = Path(bminimal.__file__).parent
+        readers = sorted(
+            path.name for path in src.glob("*.py")
+            if re.search(r"\.elements\b", path.read_text())
+        )
+        assert readers == ["algebra.py", "io.py"]

@@ -7,8 +7,6 @@ from bminimal.hermitian import (
     cluster_eigenvalues,
     eig_hermitian,
     min_eigpair,
-    project_density,
-    project_simplex,
     spectral_norm,
 )
 from oracles import rand_hermitian
@@ -176,59 +174,6 @@ class TestAbsHermitian:
             assert np.linalg.norm(ax @ ax - x @ x) <= 1e-9 * max(1.0, scale)
             assert np.min(np.linalg.eigvalsh(ax)) >= -1e-10
             assert np.linalg.norm(ax @ x - x @ ax) <= 1e-10 * max(1.0, np.linalg.norm(x))
-
-
-class TestProjectSimplex:
-    def test_already_feasible(self):
-        assert np.allclose(project_simplex([0.2, 0.8]), [0.2, 0.8], atol=0)
-
-    def test_threshold_by_hand(self):
-        # KKT: theta = 1 leaves (1, 0)
-        assert np.allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
-
-    def test_symmetric(self):
-        assert np.allclose(project_simplex([0.5, 0.5, 0.5]), np.ones(3) / 3)
-
-    def test_is_nearest_feasible_point(self):
-        rng = np.random.default_rng(18)
-        for _ in range(20):
-            v = rng.standard_normal(5)
-            x = project_simplex(v)
-            assert np.all(x >= 0) and np.sum(x) == pytest.approx(1.0, abs=1e-12)
-            for _ in range(20):
-                y = rng.dirichlet(np.ones(5))
-                assert np.linalg.norm(x - v) <= np.linalg.norm(y - v) + 1e-12
-
-
-class TestProjectDensity:
-    def test_maximally_mixed_fixed(self):
-        m = np.eye(3) / 3
-        assert np.allclose(project_density(m), m, atol=1e-12)
-
-    def test_diag_two_zero(self):
-        assert np.allclose(project_density(np.diag([2.0, 0.0])), np.diag([1.0, 0.0]))
-
-    def test_idempotent_on_feasible(self):
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rho = g @ g.conj().T
-            rho = rho / np.trace(rho).real
-            assert np.allclose(project_density(rho), rho, atol=1e-12)
-
-    def test_nonexpansive_pairs(self):
-        rng = np.random.default_rng(20)
-        for _ in range(10):
-            a = rand_hermitian(rng, 4)
-            b = rand_hermitian(rng, 4)
-            pa, pb = project_density(a), project_density(b)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
-
-    def test_output_is_density(self):
-        rng = np.random.default_rng(21)
-        rho = project_density(rand_hermitian(rng, 5))
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
 
 class TestMinEigpair:

@@ -331,7 +331,3 @@ class TestBestApproximation:
                                     SolverConfig(max_iter=50))
         norms = [f for _, f in result.trace]
         assert result.dist <= min(norms) + 1e-12
-
-    def test_rejects_bad_step_rule(self):
-        with pytest.raises(ValueError):
-            SolverConfig(step_rule="exact")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySpan, InvalidPattern, SpanMismatch
-from .hermitian import as_hermitian, frobenius
+from .hermitian import _as_hermitian_stack, as_hermitian, frobenius
 
 ORTHONORMALITY_TOL = 1e-10
 UNIT_TOL = 1e-10
@@ -38,8 +38,10 @@ class SubalgebraBasis:
         elems = np.asarray(self.elements, dtype=complex)
         if elems.ndim != 3 or elems.shape[1] != elems.shape[2] or elems.shape[0] == 0:
             raise ValueError(f"expected a nonempty (t, n, n) stack, got {elems.shape}")
-        elems = np.stack([as_hermitian(e) for e in elems])
-        gram = np.real(np.einsum("aij,bji->ab", elems, elems))
+        elems = _as_hermitian_stack(elems)
+        # tr(B_a B_b) = sum_ij B_a[i, j] conj(B_b[i, j]) for Hermitian B_b.
+        flat = elems.reshape(elems.shape[0], -1)
+        gram = np.real(flat @ flat.conj().T)
         if np.max(np.abs(gram - np.eye(elems.shape[0]))) > ORTHONORMALITY_TOL:
             raise ValueError("basis elements are not orthonormal under the trace")
         object.__setattr__(self, "elements", elems)
@@ -70,8 +72,8 @@ def build_diagonal(n: int) -> SubalgebraBasis:
     if n < 1:
         raise ValueError("n must be >= 1")
     elems = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        elems[i, i, i] = 1.0
+    idx = np.arange(n)
+    elems[idx, idx, idx] = 1.0
     return SubalgebraBasis(elements=elems, label="diag")
 
 
@@ -131,15 +133,17 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
     if q < 1:
         raise ValueError("q must be >= 1")
     n = 2**q
-    z = np.array([1.0, -1.0])
-    eye = np.array([1.0, 1.0])
+    # Row b of ``factors`` is the diagonal of I (b = 0) or Z (b = 1).
+    factors = np.array([[1.0, 1.0], [1.0, -1.0]])
+    signs = np.ones((1, 1))
+    for j in range(1, q + 1):
+        # Tensor factor j is picked by bit j-1 of k (the row block b) and
+        # is the innermost Kronecker factor so far of every row.
+        m = 2 ** (j - 1)
+        signs = (factors[:, None, None, :] * signs[None, :, :, None]).reshape(2 * m, 2 * m)
     elems = np.zeros((n, n, n), dtype=complex)
-    for k in range(n):
-        diag = np.array([1.0])
-        for j in range(q):
-            factor = z if (k >> j) & 1 else eye
-            diag = np.kron(diag, factor)
-        elems[k] = np.diag(diag / np.sqrt(n))
+    idx = np.arange(n)
+    elems[:, idx, idx] = signs / np.sqrt(n)
     return SubalgebraBasis(elements=elems, label="pauli-diag")
 
 

@@ -10,9 +10,11 @@ Set BMIN_LOG=info or BMIN_LOG=debug for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
+import re
 import sys
 import time
 
@@ -114,9 +116,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_minimal(a, basis, _fw_config(args))
     elapsed = time.perf_counter() - started
     logger.info("check: verdict %s in %.3fs", report.verdict, elapsed)
-    doc = bio.report_to_doc(report)
-    with_timings = bio.report_to_doc(report, timings={"total_s": elapsed})
-    _emit(bio.dumps(doc) + "\n", args.output, bio.dumps(with_timings) + "\n")
+    file_text = None
+    if args.output:
+        file_text = bio.dumps(bio.report_to_doc(report, timings={"total_s": elapsed})) + "\n"
+    _emit(bio.dumps(bio.report_to_doc(report)) + "\n", args.output, file_text)
     return _verdict_exit(report.verdict)
 
 
@@ -197,7 +200,10 @@ def _cmd_dirderiv(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` leaves it
+    unchanged, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="bmin",
         description="Spectral-norm minimality relative to a C*-subalgebra: "
@@ -263,14 +269,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_FLAGS = ("--w", "--x", "--x0")
+_NEGATIVE_LEAD = re.compile(r"-[\d.]")
+
+
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """Write ``--w -1,0.5`` as ``--w=-1,0.5``.
+
+    argparse takes a token that starts with '-' for an option unless the
+    whole token is one number, so a comma-separated vector whose first
+    entry is negative would not reach its flag.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_FLAGS and _NEGATIVE_LEAD.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         _configure_logging()
     except ValueError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_UNDECIDED
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_vector_values(argv))
     try:
         return args.func(args)
     except (BMinError, ValueError, OSError, json.JSONDecodeError) as err:

@@ -18,6 +18,7 @@ from bminimal.algebra import (
     verify_closed,
 )
 from bminimal.errors import EmptySpan, InvalidPattern, SpanMismatch
+from bminimal.hermitian import as_hermitian
 from oracles import rand_hermitian
 
 IV = 1 / np.sqrt(2)
@@ -86,6 +87,18 @@ class TestBuilders:
         basis = build_pauli_diagonal(1)
         assert np.allclose(basis.elements[0].real, np.eye(2) / np.sqrt(2))
         assert np.allclose(basis.elements[1].real, np.diag([1.0, -1.0]) / np.sqrt(2))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_pauli_matches_kronecker_definition(self, q):
+        n = 2**q
+        expected = np.zeros((n, n, n), dtype=complex)
+        for k in range(n):
+            diag = np.array([1.0])
+            for j in range(q):
+                factor = np.array([1.0, -1.0]) if (k >> j) & 1 else np.array([1.0, 1.0])
+                diag = np.kron(diag, factor)
+            expected[k] = np.diag(diag / np.sqrt(n))
+        assert np.array_equal(build_pauli_diagonal(q).elements, expected)
 
     def test_pauli_spans_diagonal(self):
         # invertible change of basis exists, so the spans coincide
@@ -264,6 +277,17 @@ class TestValidation:
     def test_rejects_non_orthonormal_stack(self):
         bad = np.stack([np.eye(2), np.eye(2)]).astype(complex)
         with pytest.raises(ValueError, match="orthonormal"):
+            SubalgebraBasis(elements=bad)
+
+    @pytest.mark.parametrize("entry", [(0, 2, 1e-3), (2, 2, np.nan)],
+                             ids=["non-hermitian", "nan"])
+    def test_rejects_bad_last_element_like_as_hermitian(self, entry):
+        bad = build_diagonal(3).elements.copy()
+        i, j, value = entry
+        bad[-1, i, j] = value
+        with pytest.raises(ValueError) as single:
+            as_hermitian(bad[-1])
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
             SubalgebraBasis(elements=bad)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,31 @@ class TestCheck:
         assert "timings" not in stdout_doc
         assert file_doc["timings"]["total_s"] >= 0.0
         assert file_doc["verdict"] == stdout_doc["verdict"]
+
+    def test_repeat_after_other_commands(self, m1_file, capsys):
+        args = ["check", "--matrix", m1_file, "--algebra", "diag"]
+        first_code = main(args)
+        first = capsys.readouterr().out
+        assert main(["dirderiv", "--matrix", m1_file, "--algebra", "diag",
+                     "--w", "1,0,0"]) == 0
+        with pytest.raises(SystemExit) as missing:
+            main(["check", "--algebra", "diag"])
+        assert missing.value.code == 2
+        capsys.readouterr()
+        assert main(args) == first_code
+        assert capsys.readouterr().out == first
+
+    def test_process_matches_in_process(self, m1_file, capsys):
+        args = ["check", "--matrix", m1_file, "--algebra", "diag"]
+        code = main(args)
+        expected = capsys.readouterr().out.encode("utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "bminimal.cli", *args],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code
+        assert proc.stdout == expected
 
     def test_deterministic_stdout(self, m1_file, capsys):
         main(["check", "--matrix", m1_file, "--algebra", "diag"])
@@ -201,6 +230,23 @@ class TestBestApproxAndDirDeriv:
         assert got == pytest.approx(
             directional_derivative(fam, [0.3, -0.1], [1.0, 2.0]), abs=0
         )
+
+
+class TestNegativeVectors:
+    """A vector whose first entry is negative parses the same with a space
+    after its flag as with '='."""
+
+    @pytest.mark.parametrize("command, flag, value, extra", [
+        ("dirderiv", "--w", "-1,0.5,0.2", []),
+        ("dirderiv", "--x", "-0.3,0.1,0", ["--w", "1,2,0"]),
+        ("best-approx", "--x0", "-.5,1,0", ["--max-iter", "20"]),
+    ], ids=["w", "x", "x0"])
+    def test_space_form_matches_equals_form(self, m1_file, capsys, command, flag, value, extra):
+        base = [command, "--matrix", m1_file, "--algebra", "diag", *extra]
+        assert main(base + [f"{flag}={value}"]) == 0
+        expected = capsys.readouterr().out
+        assert main(base + [flag, value]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestLogging:

@@ -9,6 +9,7 @@ and the diagonal Pauli-string basis on qubit registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,9 @@ class SubalgebraBasis:
     """Orthonormal Hermitian basis {B_1, ..., B_t} of a subalgebra of M_n(C).
 
     ``elements`` is stacked with shape (t, n, n); orthonormality under
-    <X, Y> = tr(XY) is checked on construction.
+    <X, Y> = tr(XY) is checked on construction.  The stack is fixed from
+    then on, so the distance of I_n from the span is computed at most once
+    per instance and kept (``contains_identity`` reads it).
     """
 
     elements: np.ndarray
@@ -59,6 +62,12 @@ class SubalgebraBasis:
     def combine(self, w) -> np.ndarray:
         """The combination sum_k w_k B_k of a length-t coefficient vector."""
         return np.einsum("k,kij->ij", w, self.elements)
+
+    @cached_property
+    def _identity_residual(self) -> float:
+        """||I - sum_k tr(B_k) B_k||_F: the distance of I_n from the span."""
+        eye = np.eye(self.n, dtype=complex)
+        return frobenius(eye - self.combine(compress(eye, self)))
 
     def compress_to(self, frame) -> np.ndarray:
         """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q."""
@@ -191,10 +200,7 @@ def compress(rho, basis: SubalgebraBasis) -> np.ndarray:
 
 def contains_identity(basis: SubalgebraBasis, tol: float = UNIT_TOL) -> bool:
     """True when I_n lies in the real span of the basis."""
-    eye = np.eye(basis.n, dtype=complex)
-    coeffs = compress(eye, basis)
-    residual = frobenius(eye - basis.combine(coeffs))
-    return residual <= tol * np.sqrt(basis.n)
+    return basis._identity_residual <= tol * np.sqrt(basis.n)
 
 
 def verify_closed(basis: SubalgebraBasis, tol: float = 1e-10) -> bool:

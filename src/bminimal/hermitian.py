@@ -165,31 +165,25 @@ def eig_hermitian(a) -> EigenDecomposition:
 
 
 def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[EigenCluster]:
-    """Greedy ascending merge of eigenvalues whose consecutive gap is <= tau."""
+    """Greedy ascending merge of eigenvalues whose consecutive gap is <= tau.
+
+    Each cluster's frame is a copy of its columns of ``decomp.vectors``, as
+    they are: for a decomposition from ``eig_hermitian`` these are columns
+    of one phase-normalized unitary, so they are orthonormal already and
+    keep their phases.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     values = decomp.eigenvalues
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= tau:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    clusters = []
-    for idx in groups:
-        frame = decomp.vectors[:, idx]
-        # Columns of a unitary matrix are already orthonormal; the QR pass is
-        # cheap insurance against accumulated rounding inside a cluster.
-        frame, _ = np.linalg.qr(frame)
-        frame = _fix_phases(frame)
-        clusters.append(
-            EigenCluster(
-                value=float(np.mean(values[idx])),
-                frame=frame,
-                multiplicity=len(idx),
-            )
+    starts = [0, *(np.flatnonzero(np.diff(values) > tau) + 1).tolist(), len(values)]
+    return [
+        EigenCluster(
+            value=float(np.mean(values[lo:hi])),
+            frame=decomp.vectors[:, lo:hi].copy(),
+            multiplicity=hi - lo,
         )
-    return clusters
+        for lo, hi in zip(starts[:-1], starts[1:])
+    ]
 
 
 def spectral_norm(a) -> float:

@@ -64,8 +64,9 @@ class Certificate:
     """Witness X = Q+ R+ Q+* - Q- R- Q-* of minimality.
 
     The densities have unit trace, so the trace norm of X is 2.
-    residual_eq measures ||A X - ||A|| |X| ||_F and residual_perp the
-    largest coordinate of X against the basis.
+    residual_eq measures ||A X - ||A|| |X| ||_F, with |X| = Q+ |R+| Q+* +
+    Q- |R-| Q-* taken from the witness blocks over the orthogonal frames,
+    and residual_perp the largest coordinate of X against the basis.
     """
 
     x: np.ndarray
@@ -105,22 +106,25 @@ def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> Extrema
             norm=norm,
             near=deficit <= 2.0 * tau,
         )
+    # The cluster frames are columns of the decomposition's unitary, so the
+    # subspaces take them as they are.
     clusters = cluster_eigenvalues(dec, tau)
     rest_frames = [c.frame for c in clusters[1:-1]]
-    rest = Subspace(np.hstack(rest_frames)) if rest_frames else None
+    rest = Subspace._trusted(np.hstack(rest_frames)) if rest_frames else None
     return ExtremalSpaces(
         norm=norm,
-        plus=Subspace(clusters[-1].frame),
-        minus=Subspace(clusters[0].frame),
+        plus=Subspace._trusted(clusters[-1].frame),
+        minus=Subspace._trusted(clusters[0].frame),
         rest=rest,
     )
 
 
 def _decompose(a) -> EigenDecomposition:
-    mat = as_hermitian(a)
-    if frobenius(mat) == 0.0:
+    """Validate (inside eig_hermitian) and decompose A; A = 0 raises ZeroMatrix."""
+    dec = eig_hermitian(a)
+    if dec.norm == 0.0:
         raise ZeroMatrix("the zero matrix has no extremal eigenspaces")
-    return eig_hermitian(mat)
+    return dec
 
 
 def extremal_eigenspaces(a, tau: float | None = None) -> ExtremalSpaces:
@@ -139,15 +143,23 @@ def build_certificate(
     r_minus,
     basis: SubalgebraBasis | None = None,
 ) -> Certificate:
-    """Assemble X = Q+ R+ Q+* - Q- R- Q-* and record its residuals."""
+    """Assemble X = Q+ R+ Q+* - Q- R- Q-* and record its residuals.
+
+    The frames must be orthogonal (NotOrthogonal otherwise).  Then X is
+    factored over them, |X| = Q+ |R+| Q+* + Q- |R-| Q-* with the Hermitian
+    parts of the r x r blocks, and residual_eq costs two small eigensolves
+    instead of an n x n one.  No sign of the blocks is assumed.
+    """
     mat = as_hermitian(a)
     qp = spaces.plus.frame
     qm = spaces.minus.frame
+    _require_orthogonal(qp, qm)
     rp = np.asarray(r_plus, dtype=complex)
     rm = np.asarray(r_minus, dtype=complex)
     x = qp @ rp @ qp.conj().T - qm @ rm @ qm.conj().T
     x = (x + x.conj().T) / 2
-    residual_eq = frobenius(mat @ x - spaces.norm * abs_hermitian(x))
+    abs_x = _abs_over_frame(qp, rp) + _abs_over_frame(qm, rm)
+    residual_eq = frobenius(mat @ x - spaces.norm * abs_x)
     residual_perp = 0.0
     if basis is not None:
         residual_perp = float(np.max(np.abs(basis.coords(x))))
@@ -158,6 +170,21 @@ def build_certificate(
         residual_eq=residual_eq,
         residual_perp=residual_perp,
     )
+
+
+def _require_orthogonal(v: np.ndarray, w: np.ndarray) -> None:
+    """Raise NotOrthogonal when ||V* W||_F of two frames exceeds ORTHOGONALITY_TOL."""
+    overlap = frobenius(v.conj().T @ w)
+    if overlap > ORTHOGONALITY_TOL:
+        raise NotOrthogonal(f"subspaces overlap: ||V* W||_F = {overlap:.3e}")
+
+
+def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Q |H| Q* for an orthonormal n x r frame Q and the Hermitian part H of
+    an r x r block, with |H| from LAPACK."""
+    w, v = np.linalg.eigh((r + r.conj().T) / 2)
+    u = q @ v
+    return (u * np.abs(w)) @ u.conj().T
 
 
 def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
@@ -238,9 +265,7 @@ def is_support_pair(
     """Do the moments of two orthogonal subspaces intersect?"""
     if not contains_identity(basis):
         raise NonUnitalBasis("support pairs are defined for unital subalgebras")
-    overlap = frobenius(v.frame.conj().T @ w.frame)
-    if overlap > ORTHOGONALITY_TOL:
-        raise NotOrthogonal(f"subspaces overlap: ||V* W||_F = {overlap:.3e}")
+    _require_orthogonal(v.frame, w.frame)
     return intersects(v, w, basis, cfg)
 
 

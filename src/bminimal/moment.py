@@ -48,6 +48,14 @@ class Subspace:
             raise ValueError("frame columns are not orthonormal")
         object.__setattr__(self, "frame", q.copy())
 
+    @classmethod
+    def _trusted(cls, frame: np.ndarray) -> "Subspace":
+        """A Subspace over a complex frame the package built from columns of a
+        unitary, which it owns: no checks and no copy."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "frame", frame)
+        return obj
+
     @property
     def n(self) -> int:
         return self.frame.shape[0]

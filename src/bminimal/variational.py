@@ -133,7 +133,7 @@ def _extreme_space(dec: EigenDecomposition, top: bool, tau: float | None) -> Sub
     if tau is None:
         tau = default_cluster_tol(dec.norm)
     clusters = cluster_eigenvalues(dec, tau)
-    return Subspace((clusters[-1] if top else clusters[0]).frame)
+    return Subspace._trusted((clusters[-1] if top else clusters[0]).frame)
 
 
 def subdiff_lambda_max(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
@@ -241,8 +241,12 @@ def best_approximation(
         raise ValueError(f"expected x0 of length {fam.t}, got shape {x.shape}")
 
     # seed the search with the start point, the unperturbed point, and the
-    # Frobenius projection of A0 onto the span; iterate from the best one
-    candidates = [x, np.zeros(fam.t), -compress(fam.a0, fam.basis)]
+    # Frobenius projection of A0 onto the span, skipping a candidate equal to
+    # an earlier one (x0 = 0 is the unperturbed point); iterate from the best
+    candidates: list[np.ndarray] = []
+    for cand in (x, np.zeros(fam.t), -compress(fam.a0, fam.basis)):
+        if not any(np.array_equal(cand, prev) for prev in candidates):
+            candidates.append(cand)
     evaluated = [_norm_and_subgradient(fam, cand) for cand in candidates]
     pick = int(np.argmin([f for f, _, _ in evaluated]))
     x = candidates[pick]

@@ -272,6 +272,24 @@ class TestUnit:
         e1[0, 0] = 1.0
         assert not contains_identity(orthonormalize([e1]))
 
+    def test_computed_once_per_basis(self, monkeypatch):
+        from bminimal import algebra
+
+        real = algebra.compress
+        calls = []
+
+        def counting(rho, basis):
+            calls.append(1)
+            return real(rho, basis)
+
+        monkeypatch.setattr(algebra, "compress", counting)
+        basis = build_diagonal(3)
+        assert contains_identity(basis) and contains_identity(basis)
+        assert not contains_identity(basis, tol=-1.0)  # a new tol reuses the residual
+        assert len(calls) == 1
+        assert contains_identity(build_diagonal(3))  # a new basis computes its own
+        assert len(calls) == 2
+
 
 class TestValidation:
     def test_rejects_non_orthonormal_stack(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bminimal import minimality
-from bminimal.algebra import build_block, build_diagonal, orthonormalize
+from bminimal import hermitian, minimality
+from bminimal.algebra import build_block, build_diagonal, build_pauli_diagonal, orthonormalize
 from bminimal.errors import (
     NonUnitalBasis,
     NormNotTwoSided,
@@ -23,9 +23,12 @@ from bminimal.minimality import (
     construct_minimal,
     extremal_eigenspaces,
     is_support_pair,
+    spectral_split,
     validate_certificate,
 )
+from bminimal.hermitian import _fix_phases, abs_hermitian, as_hermitian, eig_hermitian
 from bminimal.moment import Subspace
+from oracles import rand_hermitian
 from suites import constructed_minimal_3x3, grid_agreement_suite
 
 IV = 1 / np.sqrt(2)
@@ -48,6 +51,34 @@ def m_block(lam, mu):
     p = v.frame @ v.frame.conj().T
     q = w.frame @ w.frame.conj().T
     return lam * (p - q) + mu * (np.eye(4) - p - q)
+
+
+def swap(n):
+    """The block swap [[0, I], [I, 0]], minimal for diagonal algebras."""
+    h = n // 2
+    a = np.zeros((n, n), dtype=complex)
+    a[:h, h:] = np.eye(h)
+    a[h:, :h] = np.eye(h)
+    return a
+
+
+def two_sided_inputs():
+    """(A, (r-, r+)): the grid suite shifted to a two-sided spectrum, and at
+    n = 4, 8, 16, 32 a shifted random matrix and one with eigenvalues -1 and
+    +1 each repeated twice."""
+    cases = []
+    for a in grid_agreement_suite():
+        w = np.linalg.eigvalsh(a)
+        cases.append((a - (w[0] + w[-1]) / 2 * np.eye(3), (1, 1)))
+    for n in (4, 8, 16, 32):
+        rng = np.random.default_rng(n)
+        h = rand_hermitian(rng, n)
+        w = np.linalg.eigvalsh(h)
+        cases.append((h - (w[0] + w[-1]) / 2 * np.eye(n), (1, 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        vals = np.concatenate([-np.ones(2), rng.uniform(-0.9, 0.9, n - 4), np.ones(2)])
+        cases.append(((q * vals) @ q.conj().T, (2, 2)))
+    return cases
 
 
 class TestExtremalEigenspaces:
@@ -121,6 +152,28 @@ class TestCheckMinimal:
         assert report.reason == REASON_NORM
         assert report.norm == pytest.approx(2.0, abs=1e-12)
         assert len(calls) == 1  # the verdict and its norm come from one decomposition
+
+    def test_minimal_one_eigensolve(self, monkeypatch):
+        basis = build_diagonal(3)
+        counts = {"eig_hermitian": 0, "abs_hermitian": 0, "_as_hermitian_stack": 0}
+        for name in counts:
+            real = getattr(hermitian, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in (hermitian, minimality):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counting)
+        report = check_minimal(constructed_minimal_3x3(2001), basis)
+        assert report.verdict == MINIMAL
+        # one n x n eigensolve for the verdict; the certificate's |X| comes
+        # from the witness blocks
+        assert counts["eig_hermitian"] == 1
+        assert counts["abs_hermitian"] == 0
+        # A is validated inside eig_hermitian and by build_certificate
+        assert counts["_as_hermitian_stack"] <= 2
 
     def test_requires_unital(self):
         e1 = np.zeros((3, 3))
@@ -203,6 +256,58 @@ class TestBuildCertificate:
         report = check_minimal(M1, basis)
         w = np.linalg.eigvalsh(report.certificate.x)
         assert np.sum(np.abs(w)) == pytest.approx(2.0, abs=1e-9)
+
+
+class TestFactoredResidual:
+    def test_matches_dense_on_minimal_inputs(self):
+        diag3 = build_diagonal(3)
+        cases = [(a, diag3) for a in grid_agreement_suite()]
+        cases += [(m_block(lam, mu), block_basis()) for lam, mu in ((1.0, 0.5), (1.0, -0.5), (2.0, 0.0))]
+        cases += [(swap(32), build_diagonal(32)), (swap(32), build_pauli_diagonal(5))]
+        checked = 0
+        for a, basis in cases:
+            report = check_minimal(a, basis)
+            if report.verdict != MINIMAL:
+                continue
+            x = report.certificate.x
+            dense = np.linalg.norm(as_hermitian(a) @ x - report.norm * abs_hermitian(x))
+            assert abs(report.certificate.residual_eq - dense) <= 1e-14 * max(1.0, report.norm)
+            checked += 1
+        assert checked == 10 + 3 + 2
+
+    def test_indefinite_block_gives_dense_value(self):
+        spaces = extremal_eigenspaces(M1)
+        u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, 1.0]]))
+        r_plus = (u * np.array([1.0 + 1e-9, -1e-9])) @ u.conj().T  # trace one, not PSD
+        cert = build_certificate(M1, spaces, r_plus, np.eye(1), basis=build_diagonal(3))
+        dense = np.linalg.norm(M1 @ cert.x - spaces.norm * abs_hermitian(cert.x))
+        assert abs(cert.residual_eq - dense) <= 1e-14
+        # A X - |X| = Q+ (R+ - |R+|) Q+*, of norm twice the negative eigenvalue
+        assert cert.residual_eq == pytest.approx(2e-9, rel=1e-4)
+
+    def test_rejects_overlapping_frames(self):
+        plus = Subspace(np.array([[1.0], [0.0], [0.0]], dtype=complex))
+        minus = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
+        spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus, rest=None)
+        with pytest.raises(NotOrthogonal):
+            build_certificate(M1, spaces, np.eye(1), np.eye(1))
+
+
+class TestTrustedFrames:
+    def test_spectral_split_frames(self):
+        for a, ranks in two_sided_inputs():
+            spaces = spectral_split(eig_hermitian(a))
+            assert (spaces.minus.r, spaces.plus.r) == ranks
+            frames = [spaces.minus.frame, spaces.plus.frame]
+            if spaces.rest is not None:
+                frames.append(spaces.rest.frame)
+            for q in frames:
+                assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+            assert np.linalg.norm(spaces.plus.frame.conj().T @ spaces.minus.frame) <= 1e-12
+            # the same projectors as frames re-orthonormalized by QR and re-phased
+            for q in frames[:2]:
+                ref = _fix_phases(np.linalg.qr(q)[0])
+                assert np.linalg.norm(q @ q.conj().T - ref @ ref.conj().T) <= 1e-12
 
 
 class TestValidateCertificate:

@@ -297,9 +297,10 @@ class TestBestApproximation:
         fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
         result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=25))
         assert not result.converged and len(result.trace) == 26
-        # three start candidates, then one point per step; the optimality
-        # test reuses each improved point's decomposition
-        assert len(calls) == 3 + 25
+        # two start candidates (x0 = 0 is the unperturbed point), then one
+        # point per step; the optimality test reuses each improved point's
+        # decomposition
+        assert len(calls) == 2 + 25
 
     def test_never_below_grid_optimum(self):
         from oracles import grid_min_diag_norm

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import io as bio
-from .algebra import SubalgebraBasis, build_block, build_diagonal, build_pauli_diagonal
+from .algebra import SubalgebraBasis
 from .errors import BMinError, Undecided
 from .minimality import (
     MINIMAL,
@@ -61,25 +61,26 @@ def resolve_algebra(spec: str, n_hint: int | None = None) -> SubalgebraBasis:
     """Parse an --algebra value: diag | pauli:q | block:SPEC | custom:FILE.
 
     The block SPEC is a comma list of '<size>d' or '<size>f' entries, e.g.
-    '2d,2f' for a 2x2 diagonal block followed by a full 2x2 block.
-    """
+    '2d,2f' for a 2x2 diagonal block followed by a full 2x2 block.  Each spec
+    becomes the algebra document that ``io.algebra_from_doc`` builds."""
+    arg = spec.split(":", 1)[-1]
     if spec == "diag":
-        if n_hint is None:
-            raise ValueError("algebra 'diag' needs a matrix or frame to infer n")
-        return build_diagonal(n_hint)
-    if spec.startswith("pauli:"):
-        return build_pauli_diagonal(int(spec.split(":", 1)[1]))
-    if spec.startswith("block:"):
+        doc = {"kind": "diag"}
+    elif spec.startswith("pauli:"):
+        doc = {"kind": "pauli-diag", "q": arg}
+    elif spec.startswith("block:"):
         pattern = []
-        for item in spec.split(":", 1)[1].split(","):
+        for item in arg.split(","):
             item = item.strip()
             if len(item) < 2 or item[-1] not in ("d", "f"):
                 raise ValueError(f"bad block entry {item!r}; use e.g. 2d or 3f")
             pattern.append((int(item[:-1]), "diagonal" if item[-1] == "d" else "full"))
-        return build_block(pattern, n=n_hint)
-    if spec.startswith("custom:"):
-        return bio.algebra_from_doc(_load_json(spec.split(":", 1)[1]), n_hint=n_hint)
-    raise ValueError(f"unknown algebra spec {spec!r}")
+        doc = {"kind": "block", "pattern": pattern}
+    elif spec.startswith("custom:"):
+        doc = _load_json(arg)
+    else:
+        raise ValueError(f"unknown algebra spec {spec!r}")
+    return bio.algebra_from_doc(doc, n_hint=n_hint)
 
 
 def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
@@ -110,7 +111,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    a = bio.hermitian_from_doc(_load_json(args.matrix))
+    a = bio.matrix_from_doc(_load_json(args.matrix))
     basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
     started = time.perf_counter()
     report = check_minimal(a, basis, _fw_config(args))
@@ -124,7 +125,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
-    a = bio.hermitian_from_doc(_load_json(args.matrix))
+    a = bio.matrix_from_doc(_load_json(args.matrix))
     basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
     report = check_minimal(a, basis, _fw_config(args))
     if report.verdict != MINIMAL:
@@ -160,24 +161,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     v = bio.frame_from_doc(_load_json(args.v_frame))
     w = bio.frame_from_doc(_load_json(args.w_frame))
     basis = resolve_algebra(args.algebra, n_hint=v.n)
-    rest = None
-    if args.rest:
-        rest = bio.hermitian_from_doc(_load_json(args.rest))
+    rest = bio.matrix_from_doc(_load_json(args.rest)) if args.rest else None
     m = construct_minimal(v, w, args.lam, rest, basis, _fw_config(args))
     _emit(bio.dumps(bio.matrix_to_doc(m)) + "\n", args.output)
     return EXIT_YES
 
 
 def _cmd_best_approx(args: argparse.Namespace) -> int:
-    a = bio.hermitian_from_doc(_load_json(args.matrix))
+    a = bio.matrix_from_doc(_load_json(args.matrix))
     basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
     fam = AffineFamily(a, basis)
     x0 = np.zeros(fam.t) if args.x0 is None else _parse_vector(args.x0, fam.t, "--x0")
-    cfg = SolverConfig(
-        max_iter=args.max_iter,
-        dist_tol=args.tol,
-        fw=FWConfig(gap_tol=args.gap_tol, dist_tol=args.tol),
-    )
+    cfg = SolverConfig(max_iter=args.max_iter, fw=FWConfig(gap_tol=args.gap_tol, dist_tol=args.tol))
     result = best_approximation(fam, x0, cfg)
     doc = {
         "dist": float(result.dist),
@@ -190,7 +185,7 @@ def _cmd_best_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_dirderiv(args: argparse.Namespace) -> int:
-    a = bio.hermitian_from_doc(_load_json(args.matrix))
+    a = bio.matrix_from_doc(_load_json(args.matrix))
     basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
     fam = AffineFamily(a, basis)
     x = np.zeros(fam.t) if args.x is None else _parse_vector(args.x, fam.t, "--x")

@@ -188,16 +188,12 @@ def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[EigenClu
 
 def spectral_norm(a) -> float:
     """Operator norm of a Hermitian matrix: max |eigenvalue|."""
-    arr = as_hermitian(a)
-    if frobenius(arr) == 0.0:
-        return 0.0
-    return eig_hermitian(arr).norm
+    return eig_hermitian(a).norm
 
 
 def abs_hermitian(x) -> np.ndarray:
     """Matrix absolute value |X| = Q |diag| Q*; PSD and commuting with X."""
-    arr = as_hermitian(x)
-    dec = eig_hermitian(arr)
+    dec = eig_hermitian(x)
     out = (dec.vectors * np.abs(dec.eigenvalues)[np.newaxis, :]) @ dec.vectors.conj().T
     return (out + out.conj().T) / 2
 

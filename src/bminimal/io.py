@@ -2,8 +2,9 @@
 
 Matrices travel as {"n": n, "entries": [[[re, im], ...], ...]}; frames as
 {"n": n, "columns": [[[re, im], ...], ...]} with one list per spanning
-vector; algebras as a tagged document resolving to a basis.  Floats are
-emitted with repr, the shortest representation that round-trips exactly.
+vector; algebras as a tagged document.  A malformed document raises
+ValueError; the library call that takes a decoded matrix validates it.
+Floats are emitted with repr, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -25,34 +26,39 @@ from .minimality import Certificate, MinimalityReport
 from .moment import Subspace
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_doc(m) -> dict[str, Any]:
-    arr = np.asarray(m, dtype=complex)
+    arr = np.ascontiguousarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return {
-        "n": arr.shape[0],
-        "entries": [[_pair(z) for z in row] for row in arr],
-    }
+    return {"n": arr.shape[0], "entries": arr.view(float).reshape(*arr.shape, 2).tolist()}
+
+
+def _integer(value: Any, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _pairs(values: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Nested [re, im] number pairs as a complex array of ``shape``: the
+    complex view of one float array, so signed zeros survive.  Null or NaN
+    entries, objects and other shapes raise ValueError naming ``what``."""
+    try:
+        arr = np.ascontiguousarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (*shape, 2) or np.isnan(arr).any():
+        raise ValueError(f"{what} must be {' x '.join(map(str, shape))} [re, im] number pairs")
+    return arr.view(complex)[..., 0]
 
 
 def matrix_from_doc(doc: dict[str, Any]) -> np.ndarray:
+    """The matrix of a document; the library call that takes it validates it."""
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("matrix document needs keys 'n' and 'entries'")
-    n = int(doc["n"])
-    entries = doc["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError(f"entries do not form an {n} x {n} array")
-    out = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(entries):
-        for j, pair in enumerate(row):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError("each entry must be a [re, im] pair")
-            out[i, j] = complex(float(pair[0]), float(pair[1]))
-    return out
+    n = _integer(doc["n"], "matrix document 'n'")
+    return _pairs(doc["entries"], (n, n), "matrix document entries")
 
 
 def hermitian_from_doc(doc: dict[str, Any]) -> np.ndarray:
@@ -60,27 +66,19 @@ def hermitian_from_doc(doc: dict[str, Any]) -> np.ndarray:
 
 
 def frame_to_doc(s: Subspace) -> dict[str, Any]:
-    return {
-        "n": s.n,
-        "columns": [[_pair(z) for z in s.frame[:, j]] for j in range(s.r)],
-    }
+    cols = np.ascontiguousarray(s.frame.T, dtype=complex)
+    return {"n": s.n, "columns": cols.view(float).reshape(s.r, s.n, 2).tolist()}
 
 
 def frame_from_doc(doc: dict[str, Any]) -> Subspace:
     """Read spanning columns and orthonormalize them into a subspace."""
     if not isinstance(doc, dict) or "n" not in doc or "columns" not in doc:
         raise ValueError("frame document needs keys 'n' and 'columns'")
-    n = int(doc["n"])
+    n = _integer(doc["n"], "frame document 'n'")
     cols = doc["columns"]
-    if not cols:
-        raise ValueError("frame document has no columns")
-    mat = np.empty((n, len(cols)), dtype=complex)
-    for j, col in enumerate(cols):
-        if len(col) != n:
-            raise ValueError(f"column {j} has length {len(col)}, expected {n}")
-        for i, pair in enumerate(col):
-            mat[i, j] = complex(float(pair[0]), float(pair[1]))
-    return Subspace.from_span(mat)
+    if not isinstance(cols, list) or not cols:
+        raise ValueError("frame document needs a nonempty list of 'columns'")
+    return Subspace.from_span(_pairs(cols, (len(cols), n), "frame document columns").T)
 
 
 def algebra_to_doc(basis: SubalgebraBasis) -> dict[str, Any]:
@@ -92,22 +90,27 @@ def algebra_to_doc(basis: SubalgebraBasis) -> dict[str, Any]:
 
 
 def algebra_from_doc(doc: dict[str, Any], n_hint: int | None = None) -> SubalgebraBasis:
+    """The basis an algebra document names, the one dispatch onto the
+    ``build_*`` functions; ``n_hint`` fills a missing diag or block 'n'."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("algebra document needs a 'kind'")
     kind = doc["kind"]
     if kind == "diag":
-        n = int(doc.get("n", n_hint or 0))
-        if n < 1:
-            raise ValueError("diag algebra needs a positive 'n'")
-        return build_diagonal(n)
+        return build_diagonal(_integer(doc.get("n", n_hint), "diag algebra 'n'"))
     if kind == "pauli-diag":
-        return build_pauli_diagonal(int(doc["q"]))
+        return build_pauli_diagonal(_integer(doc.get("q"), "pauli-diag algebra 'q'"))
     if kind == "block":
-        pattern = [(int(size), str(kind_)) for size, kind_ in doc["pattern"]]
-        return build_block(pattern, n=int(doc["n"]) if "n" in doc else None)
+        try:
+            pattern = [(int(size), str(kind_)) for size, kind_ in doc["pattern"]]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("block algebra 'pattern' must be [size, kind] pairs") from None
+        n = doc.get("n", n_hint)
+        return build_block(pattern, n=None if n is None else _integer(n, "block algebra 'n'"))
     if kind == "custom":
-        elems = [hermitian_from_doc(e) for e in doc["elements"]]
-        return orthonormalize(elems)
+        elems = doc.get("elements")
+        if not isinstance(elems, list):
+            raise ValueError("custom algebra document needs a list of 'elements'")
+        return orthonormalize([matrix_from_doc(e) for e in elems])
     raise ValueError(f"unknown algebra kind {kind!r}")
 
 

@@ -92,8 +92,8 @@ def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> Extrema
     The norm is two-sided iff |lam_max + lam_min| <= tau (default
     ``default_cluster_tol(||A||)``); otherwise NormNotTwoSided is raised,
     carrying the norm and flagging deficits up to 2 tau as ``near``, where
-    neither answer is trustworthy.  This is the package's one two-sidedness
-    rule.
+    neither answer is trustworthy, as is a spectrum that is one cluster at
+    tau.  This is the package's one two-sidedness rule.
     """
     norm = dec.norm
     if tau is None:
@@ -109,6 +109,8 @@ def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> Extrema
     # The cluster frames are columns of the decomposition's unitary, so the
     # subspaces take them as they are.
     clusters = cluster_eigenvalues(dec, tau)
+    if len(clusters) == 1:  # both sides would share one frame
+        raise NormNotTwoSided(f"the spectrum is one cluster at tau = {tau:.1e}", norm, near=True)
     rest_frames = [c.frame for c in clusters[1:-1]]
     rest = Subspace._trusted(np.hstack(rest_frames)) if rest_frames else None
     return ExtremalSpaces(
@@ -221,7 +223,10 @@ def check_minimal(
     """
     if not contains_identity(basis):
         raise NonUnitalBasis("minimality tests require the identity in the span")
-    return _verdict(a, _decompose(a), basis, cfg, tau)
+    dec = _decompose(a)
+    if len(dec.eigenvalues) != basis.n:
+        raise ValueError(f"matrix size {len(dec.eigenvalues)} does not match basis n = {basis.n}")
+    return _verdict(a, dec, basis, cfg, tau)
 
 
 _OUTCOMES = {

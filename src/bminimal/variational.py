@@ -105,17 +105,15 @@ class SubdifferentialView:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget for the subgradient best-approximation loop."""
+    """Budget for the subgradient best-approximation loop.  ``fw.dist_tol``
+    also settles optimality outright: a norm at or below it is optimal."""
 
     max_iter: int = 2000
-    dist_tol: float = 1e-6
     fw: FWConfig = field(default_factory=FWConfig)
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.dist_tol <= 0:
-            raise ValueError("dist_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -215,8 +213,8 @@ def _certified_optimal(
     fam: AffineFamily, x, dec: EigenDecomposition, cfg: SolverConfig
 ) -> bool:
     """0 in d||A(x)||, given the decomposition of A(x): the norm is below
-    dist_tol, or the check_minimal pipeline says minimal."""
-    if dec.norm <= cfg.dist_tol:
+    cfg.fw.dist_tol, or the check_minimal pipeline says minimal."""
+    if dec.norm <= cfg.fw.dist_tol:
         return True
     return _verdict(fam.evaluate(x), dec, fam.basis, cfg.fw).verdict == MINIMAL
 
@@ -233,7 +231,7 @@ def best_approximation(
     iteration starts from the better of the two.  The best iterate is
     tracked throughout; convergence is declared when the check_minimal
     pipeline certifies the optimality condition 0 in d||A(x)|| at an
-    improved iterate (or the norm itself falls below dist_tol), otherwise
+    improved iterate (or the norm itself falls to cfg.fw.dist_tol), otherwise
     the cap is reported.
     """
     x = np.asarray(x0, dtype=float).copy()

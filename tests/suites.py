@@ -57,3 +57,14 @@ def grid_agreement_suite() -> list[np.ndarray]:
     cases = [random_one_sided_3x3(1000 + i) for i in range(15)]
     cases += [constructed_minimal_3x3(2000 + i) for i in range(10)]
     return cases
+
+
+# One malformed variant of a matrix or frame document per way it can break:
+# a null entry, an object entry, a non-list body and a list-valued size.
+# Each takes the document and the key of its body ("entries" or "columns").
+MALFORMED = {
+    "null_entry": lambda doc, key: {**doc, key: [[[None, 0.0]] * len(v) for v in doc[key]]},
+    "object_entry": lambda doc, key: {**doc, key: [[{}] * len(v) for v in doc[key]]},
+    "non_list": lambda doc, key: {**doc, key: 5},
+    "list_n": lambda doc, key: {**doc, "n": [doc["n"]]},
+}

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bminimal import algebra, hermitian
 from bminimal import io as bio
 from bminimal.cli import main
 from bminimal.moment import Subspace
+from suites import MALFORMED, constructed_minimal_3x3
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -44,6 +46,12 @@ class TestCheck:
         code = main(["check", "--matrix", path, "--algebra", "diag"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "not_minimal"
+
+    def test_one_cluster_spectrum_undecided(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "tiny.json", 1e-10 * M1)
+        assert main(["check", "--matrix", path, "--algebra", "diag"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["reason"]) == ("undecided", "norm_not_two_sided")
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -279,3 +287,95 @@ class TestAlgebraSpecParsing:
     def test_pauli_dimension_mismatch(self, m1_file):
         # matrix is 3x3, pauli:2 needs n = 4
         assert main(["check", "--matrix", m1_file, "--algebra", "pauli:2"]) == 2
+
+    def test_one_sided_dimension_mismatch(self, tmp_path, capsys):
+        # a one-sided matrix has no moment test to catch the size
+        path = write_matrix(tmp_path / "d.json", np.diag([1.0, 0.5, 0.0]))
+        assert main(["check", "--matrix", path, "--algebra", "pauli:2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not match" in captured.err
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedDocuments:
+    """Every document a command reads fails with exit 2 and one error line."""
+
+    @staticmethod
+    def argv(route, tmp_path, bad):
+        m1 = write_matrix(tmp_path / "m1.json", M1)
+        v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
+        w = write_frame(tmp_path / "w.json", [[-0.5, -0.5, 0.5, 0.5]])
+        if route in ("moment", "support"):
+            frame = write_doc(tmp_path / "bad.json", bad(bio.frame_to_doc(
+                Subspace.from_span(np.eye(3)[:, :2])), "columns"))
+            if route == "moment":
+                return ["moment", "--frame", frame, "--algebra", "diag"]
+            return ["support", "--v-frame", frame, "--w-frame", w, "--algebra", "diag"]
+        bad_matrix = bad(bio.matrix_to_doc(M1), "entries")
+        matrix = write_doc(tmp_path / "bad.json", bad_matrix)
+        if route == "construct":
+            return ["construct", "--v-frame", v, "--w-frame", w, "--lam", "1",
+                    "--rest", matrix, "--algebra", "block:2d,2f"]
+        if route == "custom":
+            alg = write_doc(tmp_path / "alg.json", {"kind": "custom", "elements": [
+                bio.matrix_to_doc(np.eye(3)), bad_matrix]})
+            return ["check", "--matrix", m1, "--algebra", f"custom:{alg}"]
+        extra = {"dirderiv": ["--w", "1,0,0"]}.get(route, [])
+        return [route, "--matrix", matrix, "--algebra", "diag", *extra]
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("route", ["check", "certificate", "best-approx", "dirderiv",
+                                       "moment", "support", "construct", "custom"])
+    def test_exit_two_one_line(self, tmp_path, capsys, route, kind):
+        code = main(self.argv(route, tmp_path, MALFORMED[kind]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "document" in lines[0]
+
+
+class TestValidationCounts:
+    """Calls of the one validation pass per command route, basis build
+    included: the command line adds none in front of the library's own."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        real = hermitian._as_hermitian_stack
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (hermitian, algebra):
+            monkeypatch.setattr(mod, "_as_hermitian_stack", counting)
+        return calls
+
+    def run(self, capsys, count, argv):
+        count.clear()
+        main(argv)
+        capsys.readouterr()
+        return len(count)
+
+    def test_routes(self, tmp_path, capsys, count):
+        minimal = write_matrix(tmp_path / "a.json", constructed_minimal_3x3(2001))
+        one_sided = write_matrix(tmp_path / "d.json", np.diag([1.0, 0.5, 0.0]))
+        alg = write_doc(tmp_path / "alg.json", {"kind": "custom", "elements": [
+            bio.matrix_to_doc(np.diag(e)) for e in np.eye(3)]})
+        # A: in check_minimal's eigensolve and build_certificate; the basis once
+        assert self.run(capsys, count, ["check", "--matrix", minimal, "--algebra", "diag"]) == 3
+        assert self.run(capsys, count, ["check", "--matrix", one_sided, "--algebra", "diag"]) == 2
+        # three custom elements by orthonormalize, then the basis stack
+        assert self.run(capsys, count, ["check", "--matrix", minimal,
+                                        "--algebra", f"custom:{alg}"]) == 6
+        # the basis, A in AffineFamily, and the eigensolves of A(x) and of the
+        # compressed direction
+        assert self.run(capsys, count, ["dirderiv", "--matrix", minimal, "--algebra", "diag",
+                                        "--w", "1,0,0"]) == 4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bminimal import hermitian
 from bminimal.hermitian import (
     abs_hermitian,
     as_hermitian,
@@ -128,6 +129,29 @@ class TestCluster:
         dec = eig_hermitian(np.eye(2))
         with pytest.raises(ValueError):
             cluster_eigenvalues(dec, 0.0)
+
+
+class TestValidatesOnce:
+    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
+    def test_one_pass(self, monkeypatch, fn):
+        # eig_hermitian validates; no pre-pass in front of it
+        calls = []
+        real = hermitian._as_hermitian_stack
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "_as_hermitian_stack", counting)
+        fn(M1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
+    def test_rejects_invalid(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            fn(np.array([[np.inf]]))
 
 
 class TestSpectralNorm:

@@ -5,11 +5,35 @@ import pytest
 
 from bminimal import io as bio
 from bminimal.algebra import build_diagonal, build_pauli_diagonal
+from bminimal.errors import InvalidPattern
 from bminimal.minimality import check_minimal
 from bminimal.moment import Subspace
 from oracles import rand_hermitian
+from suites import MALFORMED
 
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+# Entries whose bits a lossy decoder would change: signed zeros, subnormals,
+# and magnitudes near the top of the float range.
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308])
+
+def edge_array(rng, shape):
+    """Random complex entries with the EDGE_VALUES mixed into both parts.
+
+    The parts are set one by one: re + 1j * im would turn a -0.0 imaginary
+    part into +0.0."""
+    parts = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-5, 5, (2, *shape))
+    mask = rng.random((2, *shape)) < 0.5
+    parts[mask] = rng.choice(EDGE_VALUES, int(mask.sum()))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
 
 
 class TestMatrixDocuments:
@@ -21,9 +45,22 @@ class TestMatrixDocuments:
         back = bio.matrix_from_doc(json.loads(text))
         assert np.array_equal(back, m)
 
+    def test_round_trip_keeps_every_bit(self):
+        rng = np.random.default_rng(62)
+        for n in range(1, 9):
+            m = edge_array(rng, (n, n))
+            back = bio.matrix_from_doc(json.loads(bio.dumps(bio.matrix_to_doc(m))))
+            assert_same_bits(back, m)
+
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
             bio.matrix_from_doc({"entries": []})
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_rejects_malformed(self, kind):
+        doc = MALFORMED[kind](bio.matrix_to_doc(M1), "entries")
+        with pytest.raises(ValueError, match="matrix document"):
+            bio.matrix_from_doc(doc)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -51,6 +88,22 @@ class TestFrameDocuments:
         s = bio.frame_from_doc(doc)
         assert np.allclose(np.abs(s.frame.ravel()), [1.0, 0.0])
 
+    def test_round_trip_keeps_every_bit(self, monkeypatch):
+        # from_span orthonormalizes; with it replaced by the identity, the
+        # subspace holds the decoded columns as they are
+        monkeypatch.setattr(Subspace, "from_span", classmethod(lambda cls, v: cls._trusted(v)))
+        rng = np.random.default_rng(63)
+        for n in range(1, 9):
+            cols = edge_array(rng, (n, int(rng.integers(1, n + 1))))
+            doc = json.loads(bio.dumps(bio.frame_to_doc(Subspace._trusted(cols))))
+            assert_same_bits(bio.frame_from_doc(doc).frame, cols)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_rejects_malformed(self, kind):
+        doc = MALFORMED[kind](bio.frame_to_doc(Subspace.from_span(np.eye(3)[:, :2])), "columns")
+        with pytest.raises(ValueError, match="frame document"):
+            bio.frame_from_doc(doc)
+
     def test_rejects_bad_column_length(self):
         with pytest.raises(ValueError):
             bio.frame_from_doc({"n": 3, "columns": [[[1.0, 0.0]]]})
@@ -76,6 +129,25 @@ class TestAlgebraDocuments:
         assert back.dim == basis.dim
         for a, b in zip(back.elements, basis.elements):
             assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "custom", "elements": 5},
+        {"kind": "custom", "elements": [{"n": 1, "entries": [[[None, 0.0]]]}]},
+        {"kind": "pauli-diag", "q": [2]},
+        {"kind": "diag", "n": [3]},
+        {"kind": "diag"},
+        {"kind": "block", "pattern": 5},
+        {"kind": "block", "pattern": [[2, "diagonal"]], "n": [2]},
+    ], ids=["elements", "element", "q", "n", "no_n", "pattern", "block_n"])
+    def test_rejects_malformed(self, doc):
+        with pytest.raises(ValueError):
+            bio.algebra_from_doc(doc)
+
+    def test_n_hint_fills_missing_n(self):
+        assert bio.algebra_from_doc({"kind": "diag"}, n_hint=3).n == 3
+        doc = {"kind": "block", "pattern": [[2, "diagonal"], [2, "full"]]}
+        with pytest.raises(InvalidPattern):
+            bio.algebra_from_doc(doc, n_hint=3)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

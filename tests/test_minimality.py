@@ -17,6 +17,7 @@ from bminimal.minimality import (
     NOT_MINIMAL,
     REASON_DISJOINT,
     REASON_NORM,
+    UNDECIDED,
     ExtremalSpaces,
     build_certificate,
     check_minimal,
@@ -174,6 +175,25 @@ class TestCheckMinimal:
         assert counts["abs_hermitian"] == 0
         # A is validated inside eig_hermitian and by build_certificate
         assert counts["_as_hermitian_stack"] <= 2
+
+    def test_basis_size_must_match(self):
+        # one-sided: no moment test runs to notice the size
+        with pytest.raises(ValueError, match="does not match"):
+            check_minimal(np.diag([1.0, 0.5, 0.0]), build_diagonal(4))
+        with pytest.raises(ValueError, match="does not match"):
+            check_minimal(M1, build_pauli_diagonal(2))
+
+    def test_one_cluster_spectrum_undecided(self):
+        # ||A|| is below the clustering tolerance, so the two sides of the
+        # spectrum share one frame and neither answer can be trusted
+        for a in (1e-10 * M1, 1e-10 * np.diag([1.0, -1.0])):
+            report = check_minimal(a, build_diagonal(a.shape[0]))
+            assert report.verdict == UNDECIDED
+            assert report.reason == REASON_NORM
+            assert report.norm == pytest.approx(1e-10, rel=1e-12)
+            with pytest.raises(NormNotTwoSided) as err:
+                extremal_eigenspaces(a)
+            assert err.value.near
 
     def test_requires_unital(self):
         e1 = np.zeros((3, 3))

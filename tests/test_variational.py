@@ -40,8 +40,8 @@ def lam_max(fam, x):
 
 def certified(fam, result, cfg=SolverConfig()):
     """What ``converged`` promises: check_minimal says minimal at x_star, or
-    the distance itself is below dist_tol."""
-    return (result.dist <= cfg.dist_tol
+    the distance itself is below fw.dist_tol."""
+    return (result.dist <= cfg.fw.dist_tol
             or check_minimal(fam.evaluate(result.x_star), fam.basis).verdict == MINIMAL)
 
 

@@ -18,6 +18,7 @@ from .hermitian import _as_hermitian_stack, as_hermitian, frobenius
 
 ORTHONORMALITY_TOL = 1e-10
 UNIT_TOL = 1e-10
+_CLOSURE_TOL = 1e-10
 _GS_DROP_TOL = 1e-10
 _IMAG_RESIDUE_TOL = 1e-12
 _SPAN_TOL = 1e-8
@@ -198,19 +199,19 @@ def compress(rho, basis: SubalgebraBasis) -> np.ndarray:
     return coords.real.copy()
 
 
-def contains_identity(basis: SubalgebraBasis, tol: float = UNIT_TOL) -> bool:
-    """True when I_n lies in the real span of the basis."""
-    return basis._identity_residual <= tol * np.sqrt(basis.n)
+def contains_identity(basis: SubalgebraBasis) -> bool:
+    """True when I_n lies in the real span of the basis, within UNIT_TOL * sqrt(n)."""
+    return basis._identity_residual <= UNIT_TOL * np.sqrt(basis.n)
 
 
-def verify_closed(basis: SubalgebraBasis, tol: float = 1e-10) -> bool:
-    """Check closure under products: every B_i B_j must stay in the complex span."""
+def verify_closed(basis: SubalgebraBasis) -> bool:
+    """Check closure under products: every B_i B_j stays in the complex span (_CLOSURE_TOL)."""
     elems = basis.elements
     for i in range(basis.dim):
         for j in range(basis.dim):
             prod = elems[i] @ elems[j]
             residual = frobenius(prod - basis.combine(basis.coords(prod)))
-            if residual > tol:
+            if residual > _CLOSURE_TOL:
                 return False
     return True
 

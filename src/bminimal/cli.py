@@ -195,6 +195,18 @@ def _cmd_dirderiv(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
+def _budget_flags(max_iter: int) -> argparse.ArgumentParser:
+    """--tol, --gap-tol and --max-iter, defaulting to FWConfig's tolerances and ``max_iter``."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--tol", type=float, default=FWConfig().dist_tol,
+                       help="distance tolerance (default %(default)s)")
+    flags.add_argument("--gap-tol", type=float, default=FWConfig().gap_tol,
+                       help="Frank-Wolfe gap tolerance (default %(default)s)")
+    flags.add_argument("--max-iter", type=int, default=max_iter,
+                       help="iteration budget (default %(default)s)")
+    return flags
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; ``parse_args`` leaves it
@@ -207,23 +219,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", required=True,
                         help="diag | pauli:q | block:SPEC (e.g. 2d,2f) | custom:FILE")
-    common.add_argument("--tol", type=float, default=1e-6,
-                        help="distance tolerance (default 1e-6)")
-    common.add_argument("--gap-tol", type=float, default=1e-9,
-                        help="Frank-Wolfe gap tolerance (default 1e-9)")
-    common.add_argument("--max-iter", type=int, default=20000,
-                        help="iteration budget (default 20000)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--output", help="also write the stdout payload to this file")
+    fw_flags = _budget_flags(FWConfig().max_iter)
+    solver_flags = _budget_flags(SolverConfig().max_iter)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[common, fw_flags],
                        help="certify minimality of a Hermitian matrix")
     p.add_argument("--matrix", required=True, help="matrix document (JSON)")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("certificate", parents=[common],
+    p = sub.add_parser("certificate", parents=[common, fw_flags],
                        help="emit the minimality certificate, if one exists")
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_certificate)
@@ -232,15 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample extreme points of a subspace moment as CSV")
     p.add_argument("--frame", required=True, help="frame document (JSON)")
     p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.set_defaults(func=_cmd_moment)
 
-    p = sub.add_parser("support", parents=[common],
+    p = sub.add_parser("support", parents=[common, fw_flags],
                        help="test whether two orthogonal subspaces form a support pair")
     p.add_argument("--v-frame", required=True)
     p.add_argument("--w-frame", required=True)
     p.set_defaults(func=_cmd_support)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[common, fw_flags],
                        help="build a minimal matrix from a support pair")
     p.add_argument("--v-frame", required=True)
     p.add_argument("--w-frame", required=True)
@@ -248,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rest", help="optional perturbation matrix document (JSON)")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("best-approx", parents=[common],
+    p = sub.add_parser("best-approx", parents=[common, solver_flags],
                        help="minimize ||A0 + sum x_k B_k|| by subgradient descent")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x0", help="comma-separated start point (default zeros)")

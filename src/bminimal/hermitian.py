@@ -20,24 +20,24 @@ _OFF_DIAG_TOL = 1e-12  # relative to ||A||_F
 _MAX_SWEEPS = 100
 
 
-def as_hermitian(a, tol: float = ASYMMETRY_TOL) -> np.ndarray:
+def as_hermitian(a) -> np.ndarray:
     """Validate and symmetrize a square complex array.
 
-    Rejects NaN/Inf and asymmetry above ``tol`` (relative to the largest
-    entry), then returns the exactly Hermitian average (A + A*)/2.
+    Rejects NaN/Inf and asymmetry above ASYMMETRY_TOL (relative to the
+    largest entry), then returns the exactly Hermitian average (A + A*)/2.
     """
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("expected a nonempty matrix")
-    return _as_hermitian_stack(arr[np.newaxis], tol)[0]
+    return _as_hermitian_stack(arr[np.newaxis])[0]
 
 
-def _as_hermitian_stack(arr: np.ndarray, tol: float = ASYMMETRY_TOL) -> np.ndarray:
+def _as_hermitian_stack(arr: np.ndarray) -> np.ndarray:
     """The rule of ``as_hermitian`` for every matrix of a nonempty complex
     (t, n, n) stack, checked in one pass: NaN/Inf anywhere fails, then the
-    first element whose asymmetry exceeds ``tol`` times its own scale."""
+    first element whose asymmetry exceeds ASYMMETRY_TOL times its own scale."""
     # Every eigensolve passes through here with t = 1, so the pass keeps to
     # few numpy calls: array methods, and per-element maxima over flat rows.
     if not np.isfinite(arr).all():
@@ -46,12 +46,12 @@ def _as_hermitian_stack(arr: np.ndarray, tol: float = ASYMMETRY_TOL) -> np.ndarr
     rows = (arr.shape[0], -1)
     scale = np.maximum(1.0, np.abs(arr).reshape(rows).max(axis=1))
     asym = np.abs(arr - adj).reshape(rows).max(axis=1)
-    bad = asym > tol * scale
+    bad = asym > ASYMMETRY_TOL * scale
     if bad.any():
         k = int(bad.argmax())
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym[k]:.3e} exceeds "
-            f"{tol:.1e} * {scale[k]:.3e}"
+            f"{ASYMMETRY_TOL:.1e} * {scale[k]:.3e}"
         )
     return (arr + adj) / 2
 
@@ -66,7 +66,7 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray  # (n,) real, ascending
     vectors: np.ndarray      # (n, n) unitary, columns are eigenvectors
-    residual: float          # ||A Q - Q diag(w)||_F against the input
+    matrix: np.ndarray       # (n, n) the validated Hermitian input A
 
     @property
     def norm(self) -> float:
@@ -160,8 +160,7 @@ def eig_hermitian(a) -> EigenDecomposition:
     order = np.argsort(values, kind="stable")
     values = values[order]
     q = _fix_phases(q[:, order])
-    residual = frobenius(a0 @ q - q * values[np.newaxis, :])
-    return EigenDecomposition(eigenvalues=values, vectors=q, residual=residual)
+    return EigenDecomposition(eigenvalues=values, vectors=q, matrix=a0)
 
 
 def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[EigenCluster]:
@@ -200,7 +199,7 @@ def abs_hermitian(x) -> np.ndarray:
 
 def _bottom_eigpair(g: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector by LAPACK, for matrices the
-    package built itself: no validation, no phase normalization, no residual."""
+    package built itself: no validation and no phase normalization."""
     w, v = np.linalg.eigh(g)
     return float(w[0]), v[:, 0]
 

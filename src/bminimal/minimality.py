@@ -24,6 +24,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .hermitian import (
+    EigenCluster,
     EigenDecomposition,
     abs_hermitian,
     as_hermitian,
@@ -86,18 +87,23 @@ class MinimalityReport:
     certificate: Certificate | None = None
 
 
-def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> ExtremalSpaces:
+def _clusters(dec: EigenDecomposition) -> tuple[float, list[EigenCluster]]:
+    """The package's one cluster tolerance for ``dec`` and its clusters at that tolerance."""
+    tau = default_cluster_tol(dec.norm)
+    return tau, cluster_eigenvalues(dec, tau)
+
+
+def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     """The eigenspaces at +-||A|| of a decomposed nonzero A.
 
-    The norm is two-sided iff |lam_max + lam_min| <= tau (default
-    ``default_cluster_tol(||A||)``); otherwise NormNotTwoSided is raised,
-    carrying the norm and flagging deficits up to 2 tau as ``near``, where
-    neither answer is trustworthy, as is a spectrum that is one cluster at
-    tau.  This is the package's one two-sidedness rule.
+    With tau the cluster tolerance of ``_clusters``, the norm is
+    two-sided iff |lam_max + lam_min| <= tau; otherwise NormNotTwoSided is
+    raised, carrying the norm and flagging deficits up to 2 tau as
+    ``near``, where neither answer is trustworthy, as is a spectrum that is
+    one cluster at tau.  This is the package's one two-sidedness rule.
     """
     norm = dec.norm
-    if tau is None:
-        tau = default_cluster_tol(norm)
+    tau, clusters = _clusters(dec)
     deficit = abs(float(dec.eigenvalues[-1] + dec.eigenvalues[0]))
     if deficit > tau:
         raise NormNotTwoSided(
@@ -106,11 +112,10 @@ def spectral_split(dec: EigenDecomposition, tau: float | None = None) -> Extrema
             norm=norm,
             near=deficit <= 2.0 * tau,
         )
-    # The cluster frames are columns of the decomposition's unitary, so the
-    # subspaces take them as they are.
-    clusters = cluster_eigenvalues(dec, tau)
     if len(clusters) == 1:  # both sides would share one frame
         raise NormNotTwoSided(f"the spectrum is one cluster at tau = {tau:.1e}", norm, near=True)
+    # The cluster frames are columns of the decomposition's unitary, so the
+    # subspaces take them as they are.
     rest_frames = [c.frame for c in clusters[1:-1]]
     rest = Subspace._trusted(np.hstack(rest_frames)) if rest_frames else None
     return ExtremalSpaces(
@@ -129,13 +134,13 @@ def _decompose(a) -> EigenDecomposition:
     return dec
 
 
-def extremal_eigenspaces(a, tau: float | None = None) -> ExtremalSpaces:
+def extremal_eigenspaces(a) -> ExtremalSpaces:
     """Validate, decompose and split A: its eigenspaces at +-||A||.
 
     Raises ZeroMatrix for A = 0 and NormNotTwoSided (see ``spectral_split``)
     when one of the signed extremes is missing.
     """
-    return spectral_split(_decompose(a), tau)
+    return spectral_split(_decompose(a))
 
 
 def build_certificate(
@@ -192,7 +197,7 @@ def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     """Check a claimed certificate: Hermitian, nonzero, trace-orthogonal to
     the basis, and A X = ||A|| |X| within tol."""
-    mat = as_hermitian(a)
+    dec = eig_hermitian(a)
     cand = np.asarray(x, dtype=complex)
     norm_x = frobenius(cand)
     if frobenius(cand - cand.conj().T) > tol * max(1.0, norm_x):
@@ -202,16 +207,14 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     if not in_trace_orthocomplement(cand, basis, tol):
         return False
     cand = (cand + cand.conj().T) / 2
-    norm_a = eig_hermitian(mat).norm
-    residual = frobenius(mat @ cand - norm_a * abs_hermitian(cand))
-    return residual <= tol * max(1.0, norm_a * norm_x)
+    residual = frobenius(dec.matrix @ cand - dec.norm * abs_hermitian(cand))
+    return residual <= tol * max(1.0, dec.norm * norm_x)
 
 
 def check_minimal(
     a,
     basis: SubalgebraBasis,
     cfg: FWConfig = FWConfig(),
-    tau: float | None = None,
 ) -> MinimalityReport:
     """Certify minimality of A relative to the (unital) subalgebra.
 
@@ -226,7 +229,7 @@ def check_minimal(
     dec = _decompose(a)
     if len(dec.eigenvalues) != basis.n:
         raise ValueError(f"matrix size {len(dec.eigenvalues)} does not match basis n = {basis.n}")
-    return _verdict(a, dec, basis, cfg, tau)
+    return _verdict(dec, basis, cfg)
 
 
 _OUTCOMES = {
@@ -236,12 +239,10 @@ _OUTCOMES = {
 }
 
 
-def _verdict(
-    a, dec: EigenDecomposition, basis: SubalgebraBasis, cfg: FWConfig, tau: float | None = None
-) -> MinimalityReport:
+def _verdict(dec: EigenDecomposition, basis: SubalgebraBasis, cfg: FWConfig) -> MinimalityReport:
     """The check_minimal verdict on A from its decomposition ``dec``."""
     try:
-        spaces = spectral_split(dec, tau)
+        spaces = spectral_split(dec)
     except NormNotTwoSided as err:
         verdict = UNDECIDED if err.near else NOT_MINIMAL
         return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=err.norm)
@@ -249,7 +250,9 @@ def _verdict(
     answer = decide(res, cfg)
     cert = None
     if answer:
-        cert = build_certificate(a, spaces, res.witness_plus, res.witness_minus, basis=basis)
+        cert = build_certificate(
+            dec.matrix, spaces, res.witness_plus, res.witness_minus, basis=basis
+        )
     verdict, reason = _OUTCOMES[answer]
     return MinimalityReport(
         verdict=verdict,
@@ -294,8 +297,8 @@ def construct_minimal(
     if r is None:
         rest = np.zeros((v.n, v.n), dtype=complex)
     else:
-        rest = as_hermitian(r)
-        r_norm = eig_hermitian(rest).norm
+        dec = eig_hermitian(r)
+        rest, r_norm = dec.matrix, dec.norm
         if r_norm > lam + 1e-10:
             raise PerturbationTooLarge(f"||R|| = {r_norm:.6g} exceeds lam = {lam:.6g}")
         overlap = frobenius(rest @ (pv + pw))

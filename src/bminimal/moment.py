@@ -23,6 +23,7 @@ from .errors import Undecided
 from .hermitian import _bottom_eigpair, eig_hermitian, frobenius
 
 FRAME_TOL = 1e-10
+_SPAN_RANK_TOL = 1e-10
 
 # Why a Frank-Wolfe solve stopped (FWResult.stop_reason).
 STOP_GAP_MET = "gap_met"      # the gap fell to cfg.gap_tol
@@ -65,13 +66,13 @@ class Subspace:
         return self.frame.shape[1]
 
     @classmethod
-    def from_span(cls, vectors, tol: float = 1e-10) -> "Subspace":
-        """Orthonormalize spanning columns; rejects rank-deficient input."""
+    def from_span(cls, vectors) -> "Subspace":
+        """Orthonormalize spanning columns; rejects rank-deficient input (_SPAN_RANK_TOL)."""
         v = np.atleast_2d(np.asarray(vectors, dtype=complex))
         if v.shape[0] < v.shape[1]:
             raise ValueError("more columns than ambient dimension")
         q, r = np.linalg.qr(v)
-        small = np.abs(np.diag(r)) < tol * max(1.0, float(np.max(np.abs(v))))
+        small = np.abs(np.diag(r)) < _SPAN_RANK_TOL * max(1.0, float(np.max(np.abs(v))))
         if np.any(small):
             raise ValueError("spanning columns are linearly dependent")
         return cls(frame=q)

@@ -18,20 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SubalgebraBasis, compress
-from .errors import NormNotTwoSided, ZeroMatrix
-from .hermitian import (
-    EigenDecomposition,
-    as_hermitian,
-    cluster_eigenvalues,
-    eig_hermitian,
-    frobenius,
-)
+from .errors import NormNotTwoSided
+from .hermitian import EigenDecomposition, as_hermitian, eig_hermitian
 from .minimality import (
     MINIMAL,
     MinimalityReport,
+    _clusters,
+    _decompose,
     _verdict,
     check_minimal,
-    default_cluster_tol,
     spectral_split,
 )
 from .moment import (
@@ -126,26 +121,23 @@ class BestApproxResult:
     converged: bool
 
 
-def _extreme_space(dec: EigenDecomposition, top: bool, tau: float | None) -> Subspace:
+def _extreme_space(dec: EigenDecomposition, top: bool) -> Subspace:
     """The top (or bottom) eigenvalue cluster of a decomposition."""
-    if tau is None:
-        tau = default_cluster_tol(dec.norm)
-    clusters = cluster_eigenvalues(dec, tau)
-    return Subspace._trusted((clusters[-1] if top else clusters[0]).frame)
+    return Subspace._trusted(_clusters(dec)[1][-1 if top else 0].frame)
 
 
-def subdiff_lambda_max(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
+def subdiff_lambda_max(fam: AffineFamily, x) -> SubdifferentialView:
     """Subdifferential of the top eigenvalue: the moment of its eigenspace."""
-    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True, tau=tau)
+    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True)
     return SubdifferentialView(
         kind=KIND_LAMBDA_MAX, moment_max=compress_family(space, fam.basis)
     )
 
 
-def subdiff_lambda_min(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
+def subdiff_lambda_min(fam: AffineFamily, x) -> SubdifferentialView:
     """Bottom-eigenvalue counterpart; the handle stores the moment of the
     bottom eigenspace and the view is its negative."""
-    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=False, tau=tau)
+    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=False)
     return SubdifferentialView(
         kind=KIND_LAMBDA_MIN, moment_min=compress_family(space, fam.basis)
     )
@@ -158,18 +150,16 @@ def directional_derivative(fam: AffineFamily, x, w) -> float:
     return subdiff_lambda_max(fam, x).support(w)
 
 
-def subdiff_norm(fam: AffineFamily, x, tau: float | None = None) -> SubdifferentialView:
+def subdiff_norm(fam: AffineFamily, x) -> SubdifferentialView:
     """Subdifferential of ||A(x)||: the hull of both extreme sides when the
-    norm is two-sided by ``spectral_split``'s rule, else the active side."""
-    a = fam.evaluate(x)
-    if frobenius(a) == 0.0:
-        raise ZeroMatrix("the norm is not differentiable at the zero matrix")
-    dec = eig_hermitian(a)
+    norm is two-sided by ``spectral_split``'s rule, else the active side.
+    Raises ZeroMatrix at A(x) = 0, where the norm is not differentiable."""
+    dec = _decompose(fam.evaluate(x))
     try:
-        spaces = spectral_split(dec, tau)
+        spaces = spectral_split(dec)
     except NormNotTwoSided:
         top = dec.eigenvalues[-1] > -dec.eigenvalues[0]
-        moment = compress_family(_extreme_space(dec, top, tau), fam.basis)
+        moment = compress_family(_extreme_space(dec, top), fam.basis)
         if top:
             return SubdifferentialView(kind=KIND_NORM_MAX, moment_max=moment)
         return SubdifferentialView(kind=KIND_NORM_MIN, moment_min=moment)
@@ -184,7 +174,6 @@ def is_minimal_variational(
     fam: AffineFamily,
     x,
     cfg: FWConfig = FWConfig(),
-    tau: float | None = None,
 ) -> MinimalityReport:
     """Minimality of A(x) via 0 in d(lambda_max) + d(lambda_min).
 
@@ -192,7 +181,7 @@ def is_minimal_variational(
     condition is the certification test itself: this is ``check_minimal``
     on A(x).
     """
-    return check_minimal(fam.evaluate(x), fam.basis, cfg, tau)
+    return check_minimal(fam.evaluate(x), fam.basis, cfg)
 
 
 def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, EigenDecomposition]:
@@ -209,14 +198,12 @@ def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, Eige
     return dec.norm, (g if top else -g), dec
 
 
-def _certified_optimal(
-    fam: AffineFamily, x, dec: EigenDecomposition, cfg: SolverConfig
-) -> bool:
+def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, cfg: SolverConfig) -> bool:
     """0 in d||A(x)||, given the decomposition of A(x): the norm is below
     cfg.fw.dist_tol, or the check_minimal pipeline says minimal."""
     if dec.norm <= cfg.fw.dist_tol:
         return True
-    return _verdict(fam.evaluate(x), dec, fam.basis, cfg.fw).verdict == MINIMAL
+    return _verdict(dec, fam.basis, cfg.fw).verdict == MINIMAL
 
 
 def best_approximation(
@@ -252,7 +239,7 @@ def best_approximation(
 
     best_x = x.copy()
     norms = [best_f]
-    converged = _certified_optimal(fam, best_x, dec, cfg)
+    converged = _certified_optimal(fam, dec, cfg)
     if not converged:
         c = max(best_f, 1.0)  # step scale ||A(x_start)||
         for k in range(1, cfg.max_iter + 1):
@@ -265,7 +252,7 @@ def best_approximation(
             if f < best_f:
                 best_f = f
                 best_x = x.copy()
-                if _certified_optimal(fam, best_x, dec, cfg):
+                if _certified_optimal(fam, dec, cfg):
                     converged = True
                     break
     trace = np.column_stack((np.arange(len(norms), dtype=float), norms))

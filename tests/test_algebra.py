@@ -113,7 +113,7 @@ class TestBuilders:
             build_pauli_diagonal(2),
             build_pauli_diagonal(3),
         ):
-            assert verify_closed(basis, 1e-10)
+            assert verify_closed(basis)
             gram = np.real(np.einsum("aij,bji->ab", basis.elements, basis.elements))
             assert np.linalg.norm(gram - np.eye(basis.dim)) <= 1e-10
 
@@ -145,17 +145,17 @@ class TestOrthonormalize:
 
 class TestVerifyClosed:
     def test_diagonal_closed(self):
-        assert verify_closed(build_diagonal(3), 1e-10)
+        assert verify_closed(build_diagonal(3))
 
     def test_generated_by_involution(self):
         # X^2 = I lands back in span{I, X}
         basis = orthonormalize([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
-        assert verify_closed(basis, 1e-10)
+        assert verify_closed(basis)
 
     def test_single_projection(self):
         e1 = np.zeros((3, 3))
         e1[0, 0] = 1.0
-        assert verify_closed(orthonormalize([e1]), 1e-10)
+        assert verify_closed(orthonormalize([e1]))
 
     def test_detects_not_closed(self):
         # span{I, (e1 e2* + e2 e1*)/sqrt(2)} in M_3: the square of the swap
@@ -163,7 +163,7 @@ class TestVerifyClosed:
         sym = np.zeros((3, 3))
         sym[0, 1] = sym[1, 0] = 1.0
         basis = orthonormalize([np.eye(3), sym])
-        assert not verify_closed(basis, 1e-10)
+        assert not verify_closed(basis)
 
 
 class TestCompress:
@@ -285,7 +285,6 @@ class TestUnit:
         monkeypatch.setattr(algebra, "compress", counting)
         basis = build_diagonal(3)
         assert contains_identity(basis) and contains_identity(basis)
-        assert not contains_identity(basis, tol=-1.0)  # a new tol reuses the residual
         assert len(calls) == 1
         assert contains_identity(build_diagonal(3))  # a new basis computes its own
         assert len(calls) == 2

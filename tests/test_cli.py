@@ -379,3 +379,44 @@ class TestValidationCounts:
         # compressed direction
         assert self.run(capsys, count, ["dirderiv", "--matrix", minimal, "--algebra", "diag",
                                         "--w", "1,0,0"]) == 4
+        # the basis, and R in the eigensolve that also gives ||R||
+        v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
+        w = write_frame(tmp_path / "w.json", [[-0.5, -0.5, 0.5, 0.5]])
+        pv = np.full((4, 4), 0.25)
+        qw = 0.25 * np.outer([-1, -1, 1, 1], [-1, -1, 1, 1])
+        rest = write_matrix(tmp_path / "rest.json", 0.5 * (np.eye(4) - pv - qw))
+        assert self.run(capsys, count, ["construct", "--v-frame", v, "--w-frame", w,
+                                        "--lam", "1.0", "--rest", rest,
+                                        "--algebra", "block:2d,2f"]) == 2
+
+
+class TestUnreadFlags:
+    """Each subcommand accepts only the flags it reads: any other is a usage
+    error, exit 2, before a document is opened."""
+
+    @pytest.mark.parametrize("command, flag", [
+        *[(c, "--seed") for c in ("check", "certificate", "support", "construct",
+                                  "best-approx", "dirderiv")],
+        *[(c, f) for c in ("moment", "dirderiv") for f in ("--tol", "--gap-tol", "--max-iter")],
+    ])
+    def test_refused(self, tmp_path, capsys, command, flag):
+        m1 = write_matrix(tmp_path / "m1.json", M1)
+        v = write_frame(tmp_path / "v.json", [[IV, IV, 0]])
+        w = write_frame(tmp_path / "w.json", [[IV, -IV, 0]])
+        argv = {
+            "check": ["--matrix", m1],
+            "certificate": ["--matrix", m1],
+            "support": ["--v-frame", v, "--w-frame", w],
+            "construct": ["--v-frame", v, "--w-frame", w, "--lam", "1"],
+            "best-approx": ["--matrix", m1, "--max-iter", "5"],
+            "dirderiv": ["--matrix", m1, "--w", "1,0,0"],
+            "moment": ["--frame", v, "--samples", "2"],
+        }[command]
+        argv = [command, *argv, "--algebra", "diag"]
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, flag, "1"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 1" in err

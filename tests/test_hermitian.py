@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bminimal import hermitian
+from bminimal.algebra import build_diagonal
 from bminimal.hermitian import (
     abs_hermitian,
     as_hermitian,
@@ -10,9 +11,13 @@ from bminimal.hermitian import (
     min_eigpair,
     spectral_norm,
 )
+from bminimal.minimality import construct_minimal, validate_certificate
+from bminimal.moment import Subspace
 from oracles import rand_hermitian
 
+IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+X_SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 
 
 class TestAsHermitian:
@@ -66,7 +71,6 @@ class TestEig:
             assert np.linalg.norm(recon - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
             gram = dec.vectors.conj().T @ dec.vectors
             assert np.linalg.norm(gram - np.eye(n)) <= 1e-10 * np.sqrt(n)
-            assert dec.residual <= 1e-10 * max(1.0, np.linalg.norm(a))
 
     def test_matches_lapack(self):
         rng = np.random.default_rng(12)
@@ -132,9 +136,8 @@ class TestCluster:
 
 
 class TestValidatesOnce:
-    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
-    def test_one_pass(self, monkeypatch, fn):
-        # eig_hermitian validates; no pre-pass in front of it
+    @pytest.fixture
+    def passes(self, monkeypatch):
         calls = []
         real = hermitian._as_hermitian_stack
 
@@ -143,8 +146,28 @@ class TestValidatesOnce:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hermitian, "_as_hermitian_stack", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
+    def test_one_pass(self, passes, fn):
+        # eig_hermitian validates; no pre-pass in front of it
         fn(M1)
-        assert len(calls) == 1
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("call, expected", [
+        # R in its one eigensolve, which also gives ||R||
+        (lambda basis: construct_minimal(
+            Subspace(np.array([[IV], [IV], [0.0]], dtype=complex)),
+            Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex)),
+            1.0, np.diag([0.0, 0.0, 0.5]), basis), 1),
+        # A in its one eigensolve, which also gives ||A||; X inside |X|
+        (lambda basis: validate_certificate(M1, X_SWAP, basis, 1e-6), 2),
+    ], ids=["construct_minimal", "validate_certificate"])
+    def test_library_passes(self, passes, call, expected):
+        basis = build_diagonal(3)
+        passes.clear()
+        call(basis)
+        assert len(passes) == expected
 
     @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
     def test_rejects_invalid(self, fn):

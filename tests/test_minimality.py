@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from bminimal import hermitian, minimality
-from bminimal.algebra import build_block, build_diagonal, build_pauli_diagonal, orthonormalize
+from bminimal.algebra import (
+    SubalgebraBasis,
+    build_block,
+    build_diagonal,
+    build_pauli_diagonal,
+    orthonormalize,
+)
 from bminimal.errors import (
     NonUnitalBasis,
     NormNotTwoSided,
@@ -101,13 +107,13 @@ class TestExtremalEigenspaces:
             extremal_eigenspaces(np.diag([1.0, 0.5]))
 
     def test_near_flag(self):
-        tau = 1e-8
+        tau = 1e-8  # the cluster tolerance at ||A|| = 1
         with pytest.raises(NormNotTwoSided) as info:
-            extremal_eigenspaces(np.diag([1.0, -1.0 + 1.5 * tau]), tau=tau)
+            extremal_eigenspaces(np.diag([1.0, -1.0 + 1.5 * tau]))
         assert info.value.near
         assert info.value.norm == 1.0
         with pytest.raises(NormNotTwoSided) as info:
-            extremal_eigenspaces(np.diag([1.0, -0.5]), tau=tau)
+            extremal_eigenspaces(np.diag([1.0, -0.5]))
         assert not info.value.near
         assert info.value.norm == 1.0
 
@@ -175,6 +181,21 @@ class TestCheckMinimal:
         assert counts["abs_hermitian"] == 0
         # A is validated inside eig_hermitian and by build_certificate
         assert counts["_as_hermitian_stack"] <= 2
+
+    def test_unitary_covariance(self):
+        # ||U A U* + U B U*|| = ||A + B||, so A is minimal for the diagonals
+        # iff U A U* is minimal for the rotated basis U B_k U*
+        basis = build_diagonal(3)
+        for seed, a in enumerate(grid_agreement_suite()):
+            rng = np.random.default_rng(500 + seed)
+            u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            rotated = SubalgebraBasis(elements=u @ basis.elements @ u.conj().T)
+            ua = u @ a @ u.conj().T
+            report = check_minimal(ua, rotated)
+            assert report.verdict == check_minimal(a, basis).verdict
+            assert report.verdict != UNDECIDED
+            if report.verdict == MINIMAL:
+                assert validate_certificate(ua, report.certificate.x, rotated, 1e-6)
 
     def test_basis_size_must_match(self):
         # one-sided: no moment test runs to notice the size

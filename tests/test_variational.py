@@ -65,7 +65,7 @@ class TestTwoSidedBoundary:
             assert is_minimal_variational(fam, x).verdict == verdict
             assert subdiff_norm(fam, x).kind == kind
             dec = eig_hermitian(fam.evaluate(x))
-            assert _certified_optimal(fam, x, dec, SolverConfig()) is optimal
+            assert _certified_optimal(fam, dec, SolverConfig()) is optimal
 
 
 class TestEvaluate:
@@ -294,13 +294,22 @@ class TestBestApproximation:
 
         monkeypatch.setattr(variational, "eig_hermitian", counting)
         monkeypatch.setattr(minimality, "eig_hermitian", counting)
+        real_evaluate = AffineFamily.evaluate
+        evaluations = []
+
+        def counting_evaluate(self, x):
+            evaluations.append(1)
+            return real_evaluate(self, x)
+
+        monkeypatch.setattr(AffineFamily, "evaluate", counting_evaluate)
         fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
         result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=25))
         assert not result.converged and len(result.trace) == 26
         # two start candidates (x0 = 0 is the unperturbed point), then one
         # point per step; the optimality test reuses each improved point's
-        # decomposition
+        # decomposition, and its matrix
         assert len(calls) == 2 + 25
+        assert len(evaluations) == 2 + 25
 
     def test_never_below_grid_optimum(self):
         from oracles import grid_min_diag_norm

@@ -34,7 +34,6 @@ from .errors import (
     ZeroMatrix,
 )
 from .hermitian import (
-    EigenCluster,
     EigenDecomposition,
     abs_hermitian,
     as_hermitian,

@@ -74,15 +74,6 @@ class EigenDecomposition:
         return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
 
-@dataclass(frozen=True)
-class EigenCluster:
-    """A group of numerically coincident eigenvalues and its eigenframe."""
-
-    value: float
-    frame: np.ndarray  # (n, multiplicity), orthonormal columns
-    multiplicity: int
-
-
 def _rotation_pair(app: float, aqq: float, apq: complex) -> np.ndarray:
     """2x2 unitary U with U* [[app, apq], [conj(apq), aqq]] U diagonal."""
     mag = abs(apq)
@@ -163,26 +154,21 @@ def eig_hermitian(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, vectors=q, matrix=a0)
 
 
-def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[EigenCluster]:
-    """Greedy ascending merge of eigenvalues whose consecutive gap is <= tau.
+def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[np.ndarray]:
+    """Eigenframes of the greedy ascending merge of eigenvalues whose
+    consecutive gap is <= tau, in ascending order.
 
-    Each cluster's frame is a copy of its columns of ``decomp.vectors``, as
-    they are: for a decomposition from ``eig_hermitian`` these are columns
-    of one phase-normalized unitary, so they are orthonormal already and
-    keep their phases.
+    Each frame is a copy of its columns of ``decomp.vectors``, as they are:
+    for a decomposition from ``eig_hermitian`` these are columns of one
+    phase-normalized unitary, so they are orthonormal already and keep their
+    phases.  A cluster's eigenvalues are its slice of ``decomp.eigenvalues``
+    and its multiplicity is its frame's width.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     values = decomp.eigenvalues
     starts = [0, *(np.flatnonzero(np.diff(values) > tau) + 1).tolist(), len(values)]
-    return [
-        EigenCluster(
-            value=float(np.mean(values[lo:hi])),
-            frame=decomp.vectors[:, lo:hi].copy(),
-            multiplicity=hi - lo,
-        )
-        for lo, hi in zip(starts[:-1], starts[1:])
-    ]
+    return [decomp.vectors[:, lo:hi].copy() for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def spectral_norm(a) -> float:

@@ -24,7 +24,6 @@ from .errors import (
     ZeroMatrix,
 )
 from .hermitian import (
-    EigenCluster,
     EigenDecomposition,
     abs_hermitian,
     as_hermitian,
@@ -52,12 +51,13 @@ def default_cluster_tol(norm: float) -> float:
 
 @dataclass(frozen=True)
 class ExtremalSpaces:
-    """Eigenspaces of +||A|| and -||A||, plus the orthogonal rest."""
+    """The norm ||A|| and the eigenspaces of +||A|| and -||A||.  From
+    ``spectral_split`` both frames are columns of one ``eig_hermitian``
+    unitary, so they are orthonormal and mutually orthogonal."""
 
     norm: float
     plus: Subspace
     minus: Subspace
-    rest: Subspace | None
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class Certificate:
     """
 
     x: np.ndarray
-    rho_plus: np.ndarray
-    rho_minus: np.ndarray
     residual_eq: float
     residual_perp: float
 
@@ -87,8 +85,9 @@ class MinimalityReport:
     certificate: Certificate | None = None
 
 
-def _clusters(dec: EigenDecomposition) -> tuple[float, list[EigenCluster]]:
-    """The package's one cluster tolerance for ``dec`` and its clusters at that tolerance."""
+def _clusters(dec: EigenDecomposition) -> tuple[float, list[np.ndarray]]:
+    """The package's one cluster tolerance for ``dec`` and its cluster
+    eigenframes at that tolerance."""
     tau = default_cluster_tol(dec.norm)
     return tau, cluster_eigenvalues(dec, tau)
 
@@ -103,7 +102,7 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     one cluster at tau.  This is the package's one two-sidedness rule.
     """
     norm = dec.norm
-    tau, clusters = _clusters(dec)
+    tau, frames = _clusters(dec)
     deficit = abs(float(dec.eigenvalues[-1] + dec.eigenvalues[0]))
     if deficit > tau:
         raise NormNotTwoSided(
@@ -112,17 +111,14 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
             norm=norm,
             near=deficit <= 2.0 * tau,
         )
-    if len(clusters) == 1:  # both sides would share one frame
+    if len(frames) == 1:  # both sides would share one frame
         raise NormNotTwoSided(f"the spectrum is one cluster at tau = {tau:.1e}", norm, near=True)
     # The cluster frames are columns of the decomposition's unitary, so the
     # subspaces take them as they are.
-    rest_frames = [c.frame for c in clusters[1:-1]]
-    rest = Subspace._trusted(np.hstack(rest_frames)) if rest_frames else None
     return ExtremalSpaces(
         norm=norm,
-        plus=Subspace._trusted(clusters[-1].frame),
-        minus=Subspace._trusted(clusters[0].frame),
-        rest=rest,
+        plus=Subspace._trusted(frames[-1]),
+        minus=Subspace._trusted(frames[0]),
     )
 
 
@@ -148,7 +144,7 @@ def build_certificate(
     spaces: ExtremalSpaces,
     r_plus,
     r_minus,
-    basis: SubalgebraBasis | None = None,
+    basis: SubalgebraBasis,
 ) -> Certificate:
     """Assemble X = Q+ R+ Q+* - Q- R- Q-* and record its residuals.
 
@@ -166,16 +162,10 @@ def build_certificate(
     x = qp @ rp @ qp.conj().T - qm @ rm @ qm.conj().T
     x = (x + x.conj().T) / 2
     abs_x = _abs_over_frame(qp, rp) + _abs_over_frame(qm, rm)
-    residual_eq = frobenius(mat @ x - spaces.norm * abs_x)
-    residual_perp = 0.0
-    if basis is not None:
-        residual_perp = float(np.max(np.abs(basis.coords(x))))
     return Certificate(
         x=x,
-        rho_plus=rp,
-        rho_minus=rm,
-        residual_eq=residual_eq,
-        residual_perp=residual_perp,
+        residual_eq=frobenius(mat @ x - spaces.norm * abs_x),
+        residual_perp=float(np.max(np.abs(basis.coords(x)))),
     )
 
 
@@ -290,8 +280,8 @@ def construct_minimal(
     R may be None for no perturbation; otherwise it must be Hermitian with
     ||R|| <= lam and vanish on V + W.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be positive and finite")
     pv = v.frame @ v.frame.conj().T
     pw = w.frame @ w.frame.conj().T
     if r is None:

@@ -95,8 +95,8 @@ class FWConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.dist_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(np.isfinite(t) and t > 0 for t in (self.gap_tol, self.dist_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

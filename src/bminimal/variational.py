@@ -123,7 +123,7 @@ class BestApproxResult:
 
 def _extreme_space(dec: EigenDecomposition, top: bool) -> Subspace:
     """The top (or bottom) eigenvalue cluster of a decomposition."""
-    return Subspace._trusted(_clusters(dec)[1][-1 if top else 0].frame)
+    return Subspace._trusted(_clusters(dec)[1][-1 if top else 0])
 
 
 def subdiff_lambda_max(fam: AffineFamily, x) -> SubdifferentialView:

@@ -420,3 +420,34 @@ class TestUnreadFlags:
         assert refused.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag} 1" in err
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite tolerance or ``--lam`` is refused with exit 2 and one
+    error line, before any output."""
+
+    def assert_refused(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--gap-tol"])
+    def test_tolerance(self, tmp_path, capsys, flag, value):
+        # diag(1, -1) lies in the algebra, so it is not minimal; an infinite
+        # --tol would call it minimal with a certificate that is not one
+        a = write_matrix(tmp_path / "a.json", np.diag([1.0, -1.0]))
+        argv = ["check", "--matrix", a, "--algebra", "diag"]
+        assert main(argv) == 1
+        capsys.readouterr()
+        self.assert_refused(capsys, [*argv, flag, value])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_lam(self, tmp_path, capsys, value):
+        v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
+        w = write_frame(tmp_path / "w.json", [[-0.5, -0.5, 0.5, 0.5]])
+        self.assert_refused(capsys, ["construct", "--v-frame", v, "--w-frame", w,
+                                     "--lam", value, "--algebra", "block:2d,2f"])

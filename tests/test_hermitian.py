@@ -101,24 +101,22 @@ class TestCluster:
     def test_forced_merge(self):
         dec = eig_hermitian(np.diag([-1.0, 1.0 - 1e-12, 1.0]))
         clusters = cluster_eigenvalues(dec, 1e-8)
-        assert [c.multiplicity for c in clusters] == [1, 2]
-        assert clusters[0].value == pytest.approx(-1.0)
-        assert clusters[1].value == pytest.approx(1.0, abs=1e-12)
+        assert [c.shape[1] for c in clusters] == [1, 2]
 
     def test_all_singletons(self):
         dec = eig_hermitian(np.diag([0.0, 0.5, 1.0]))
         clusters = cluster_eigenvalues(dec, 1e-8)
-        assert [c.multiplicity for c in clusters] == [1, 1, 1]
+        assert [c.shape[1] for c in clusters] == [1, 1, 1]
 
     def test_m1_top_frame(self):
         dec = eig_hermitian(M1)
         clusters = cluster_eigenvalues(dec, 1e-8)
         top = clusters[-1]
-        assert top.multiplicity == 2
-        gram = top.frame.conj().T @ top.frame
+        assert top.shape[1] == 2
+        gram = top.conj().T @ top
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
         # every column is fixed by M1 (eigenvalue one)
-        assert np.linalg.norm(M1 @ top.frame - top.frame) <= 1e-12
+        assert np.linalg.norm(M1 @ top - top) <= 1e-12
 
     def test_distinct_frames_orthogonal(self):
         rng = np.random.default_rng(14)
@@ -126,8 +124,23 @@ class TestCluster:
         clusters = cluster_eigenvalues(dec, 1e-8)
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                cross = clusters[i].frame.conj().T @ clusters[j].frame
+                cross = clusters[i].conj().T @ clusters[j]
                 assert np.linalg.norm(cross) <= 1e-8
+
+    def test_frames_tile_the_unitary(self):
+        rng = np.random.default_rng(15)
+        cases = [(eig_hermitian(rand_hermitian(rng, n)), 1e-8) for n in (1, 2, 5, 8)]
+        # forced merges: a near-double pair, one cluster, and a coarse tau
+        cases += [
+            (eig_hermitian(np.diag([-1.0, 1.0 - 1e-12, 1.0])), 1e-8),
+            (eig_hermitian(np.eye(3)), 1e-8),
+            (eig_hermitian(rand_hermitian(rng, 6)), 0.5),
+        ]
+        for dec, tau in cases:
+            frames = cluster_eigenvalues(dec, tau)
+            assert all(isinstance(f, np.ndarray) for f in frames)
+            assert not any(np.shares_memory(f, dec.vectors) for f in frames)
+            assert np.hstack(frames).tobytes() == dec.vectors.tobytes()
 
     def test_rejects_nonpositive_tau(self):
         dec = eig_hermitian(np.eye(2))

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from bminimal.minimality import (
     REASON_DISJOINT,
     REASON_NORM,
     UNDECIDED,
+    Certificate,
     ExtremalSpaces,
     build_certificate,
     check_minimal,
@@ -95,7 +99,6 @@ class TestExtremalEigenspaces:
         assert spaces.plus.r == 2 and spaces.minus.r == 1
         assert np.linalg.norm(M1 @ spaces.plus.frame - spaces.plus.frame) <= 1e-10
         assert np.linalg.norm(M1 @ spaces.minus.frame + spaces.minus.frame) <= 1e-10
-        assert spaces.rest is None
 
     def test_diag_simple(self):
         spaces = extremal_eigenspaces(np.diag([1.0, -1.0]))
@@ -116,11 +119,6 @@ class TestExtremalEigenspaces:
             extremal_eigenspaces(np.diag([1.0, -0.5]))
         assert not info.value.near
         assert info.value.norm == 1.0
-
-    def test_rest_space(self):
-        spaces = extremal_eigenspaces(np.diag([1.0, 0.25, -1.0]))
-        assert spaces.rest is not None and spaces.rest.r == 1
-        assert np.allclose(np.abs(spaces.rest.frame.ravel()), [0.0, 1.0, 0.0])
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
@@ -275,7 +273,7 @@ class TestBuildCertificate:
     def test_m1_explicit_witnesses(self):
         plus = Subspace(np.array([[IV, 0], [IV, 0], [0, 1.0]], dtype=complex))
         minus = Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex))
-        spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus, rest=None)
+        spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus)
         cert = build_certificate(
             M1, spaces, np.diag([1.0, 0.0]), np.eye(1), basis=build_diagonal(3)
         )
@@ -297,6 +295,19 @@ class TestBuildCertificate:
         report = check_minimal(M1, basis)
         w = np.linalg.eigvalsh(report.certificate.x)
         assert np.sum(np.abs(w)) == pytest.approx(2.0, abs=1e-9)
+
+
+class TestPublicFields:
+    """The verdict types hold only what a caller reads."""
+
+    def test_dataclass_fields(self):
+        for cls, kept in ((ExtremalSpaces, ("norm", "plus", "minus")),
+                          (Certificate, ("x", "residual_eq", "residual_perp"))):
+            assert tuple(f.name for f in dataclasses.fields(cls)) == kept
+
+    def test_certificate_basis_required(self):
+        param = inspect.signature(build_certificate).parameters["basis"]
+        assert param.default is inspect.Parameter.empty
 
 
 class TestFactoredResidual:
@@ -329,9 +340,9 @@ class TestFactoredResidual:
     def test_rejects_overlapping_frames(self):
         plus = Subspace(np.array([[1.0], [0.0], [0.0]], dtype=complex))
         minus = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
-        spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus, rest=None)
+        spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus)
         with pytest.raises(NotOrthogonal):
-            build_certificate(M1, spaces, np.eye(1), np.eye(1))
+            build_certificate(M1, spaces, np.eye(1), np.eye(1), basis=build_diagonal(3))
 
 
 class TestTrustedFrames:
@@ -340,13 +351,11 @@ class TestTrustedFrames:
             spaces = spectral_split(eig_hermitian(a))
             assert (spaces.minus.r, spaces.plus.r) == ranks
             frames = [spaces.minus.frame, spaces.plus.frame]
-            if spaces.rest is not None:
-                frames.append(spaces.rest.frame)
             for q in frames:
                 assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
             assert np.linalg.norm(spaces.plus.frame.conj().T @ spaces.minus.frame) <= 1e-12
             # the same projectors as frames re-orthonormalized by QR and re-phased
-            for q in frames[:2]:
+            for q in frames:
                 ref = _fix_phases(np.linalg.qr(q)[0])
                 assert np.linalg.norm(q @ q.conj().T - ref @ ref.conj().T) <= 1e-12
 
@@ -436,8 +445,9 @@ class TestConstructMinimal:
         p = v.frame @ v.frame.conj().T
         q = w.frame @ w.frame.conj().T
         rest = np.eye(4) - p - q
-        with pytest.raises(ValueError):
-            construct_minimal(v, w, -1.0, None, block_basis())
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                construct_minimal(v, w, lam, None, block_basis())
         with pytest.raises(PerturbationTooLarge):
             construct_minimal(v, w, 1.0, 2.0 * rest, block_basis())
         with pytest.raises(PerturbationOverlapsSupport):

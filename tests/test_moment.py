@@ -273,6 +273,14 @@ def _result(distance, gap):
     return FWResult(distance, np.eye(1), np.eye(1), gap, 0, "budget")
 
 
+class TestFWConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["dist_tol", "gap_tol"])
+    def test_rejects_non_finite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            FWConfig(**{name: value})
+
+
 class TestDecide:
     def test_three_values(self):
         cfg = FWConfig(gap_tol=1e-9, dist_tol=1e-6)

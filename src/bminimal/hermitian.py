@@ -164,8 +164,8 @@ def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[np.ndarr
     phases.  A cluster's eigenvalues are its slice of ``decomp.eigenvalues``
     and its multiplicity is its frame's width.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     values = decomp.eigenvalues
     starts = [0, *(np.flatnonzero(np.diff(values) > tau) + 1).tolist(), len(values)]
     return [decomp.vectors[:, lo:hi].copy() for lo, hi in zip(starts[:-1], starts[1:])]

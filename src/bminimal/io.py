@@ -34,10 +34,25 @@ def matrix_to_doc(m) -> dict[str, Any]:
 
 
 def _integer(value: Any, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """An integer, an integral float or an integer string (the command
+    line's ``pauli:3``) as an int; a bool, a fraction or anything else
+    raises ValueError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or number == value:
+                return number
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_size(n: int, n_hint: int | None, what: str) -> None:
+    """Refuse an algebra of size ``n`` for an input of size ``n_hint``
+    before anything is built."""
+    if n_hint is not None and n != n_hint:
+        raise ValueError(f"{what} size {n} does not match the input size {n_hint}")
 
 
 def _pairs(values: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -91,26 +106,41 @@ def algebra_to_doc(basis: SubalgebraBasis) -> dict[str, Any]:
 
 def algebra_from_doc(doc: dict[str, Any], n_hint: int | None = None) -> SubalgebraBasis:
     """The basis an algebra document names, the one dispatch onto the
-    ``build_*`` functions; ``n_hint`` fills a missing diag or block 'n'."""
+    ``build_*`` functions.  ``n_hint``, the size of the input the basis is
+    for, fills a missing diag or block 'n', and a document whose size
+    differs from it is refused before its basis is built."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("algebra document needs a 'kind'")
     kind = doc["kind"]
     if kind == "diag":
-        return build_diagonal(_integer(doc.get("n", n_hint), "diag algebra 'n'"))
+        n = _integer(doc.get("n", n_hint), "diag algebra 'n'")
+        _require_size(n, n_hint, "diag algebra")
+        return build_diagonal(n)
     if kind == "pauli-diag":
-        return build_pauli_diagonal(_integer(doc.get("q"), "pauli-diag algebra 'q'"))
+        q = _integer(doc.get("q"), "pauli-diag algebra 'q'")
+        # n = 2**q, compared through the log2 of n_hint so q never forms 2**q
+        if n_hint is not None and (n_hint.bit_length() - 1 != q or n_hint != 1 << q):
+            raise ValueError(f"pauli-diag algebra on q = {q} qubits (size 2**{q}) "
+                             f"does not match the input size {n_hint}")
+        return build_pauli_diagonal(q)
     if kind == "block":
         try:
-            pattern = [(int(size), str(kind_)) for size, kind_ in doc["pattern"]]
+            pattern = [(_integer(size, "block size"), str(kind_)) for size, kind_ in doc["pattern"]]
         except (KeyError, TypeError, ValueError):
             raise ValueError("block algebra 'pattern' must be [size, kind] pairs") from None
         n = doc.get("n", n_hint)
-        return build_block(pattern, n=None if n is None else _integer(n, "block algebra 'n'"))
+        if n is not None:
+            n = _integer(n, "block algebra 'n'")
+            _require_size(n, n_hint, "block algebra")
+        return build_block(pattern, n=n)
     if kind == "custom":
         elems = doc.get("elements")
         if not isinstance(elems, list):
             raise ValueError("custom algebra document needs a list of 'elements'")
-        return orthonormalize([matrix_from_doc(e) for e in elems])
+        mats = [matrix_from_doc(e) for e in elems]
+        for m in mats:
+            _require_size(m.shape[0], n_hint, "custom algebra element")
+        return orthonormalize(mats)
     raise ValueError(f"unknown algebra kind {kind!r}")
 
 

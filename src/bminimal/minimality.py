@@ -26,7 +26,6 @@ from .errors import (
 from .hermitian import (
     EigenDecomposition,
     abs_hermitian,
-    as_hermitian,
     cluster_eigenvalues,
     eig_hermitian,
     frobenius,
@@ -85,24 +84,18 @@ class MinimalityReport:
     certificate: Certificate | None = None
 
 
-def _clusters(dec: EigenDecomposition) -> tuple[float, list[np.ndarray]]:
-    """The package's one cluster tolerance for ``dec`` and its cluster
-    eigenframes at that tolerance."""
-    tau = default_cluster_tol(dec.norm)
-    return tau, cluster_eigenvalues(dec, tau)
-
-
 def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     """The eigenspaces at +-||A|| of a decomposed nonzero A.
 
-    With tau the cluster tolerance of ``_clusters``, the norm is
-    two-sided iff |lam_max + lam_min| <= tau; otherwise NormNotTwoSided is
-    raised, carrying the norm and flagging deficits up to 2 tau as
-    ``near``, where neither answer is trustworthy, as is a spectrum that is
-    one cluster at tau.  This is the package's one two-sidedness rule.
+    With tau = default_cluster_tol(||A||), the norm is two-sided iff
+    |lam_max + lam_min| <= tau; otherwise NormNotTwoSided is raised,
+    carrying the norm and flagging deficits up to 2 tau as ``near``, where
+    neither answer is trustworthy, as is a spectrum that is one cluster at
+    tau.  This is the package's one two-sidedness rule.  Only a two-sided
+    spectrum is clustered.
     """
     norm = dec.norm
-    tau, frames = _clusters(dec)
+    tau = default_cluster_tol(norm)
     deficit = abs(float(dec.eigenvalues[-1] + dec.eigenvalues[0]))
     if deficit > tau:
         raise NormNotTwoSided(
@@ -111,6 +104,7 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
             norm=norm,
             near=deficit <= 2.0 * tau,
         )
+    frames = cluster_eigenvalues(dec, tau)
     if len(frames) == 1:  # both sides would share one frame
         raise NormNotTwoSided(f"the spectrum is one cluster at tau = {tau:.1e}", norm, near=True)
     # The cluster frames are columns of the decomposition's unitary, so the
@@ -140,20 +134,20 @@ def extremal_eigenspaces(a) -> ExtremalSpaces:
 
 
 def build_certificate(
-    a,
+    dec: EigenDecomposition,
     spaces: ExtremalSpaces,
     r_plus,
     r_minus,
     basis: SubalgebraBasis,
 ) -> Certificate:
-    """Assemble X = Q+ R+ Q+* - Q- R- Q-* and record its residuals.
+    """Assemble X = Q+ R+ Q+* - Q- R- Q-* and record its residuals against
+    A = ``dec.matrix``, the input ``eig_hermitian`` validated.
 
     The frames must be orthogonal (NotOrthogonal otherwise).  Then X is
     factored over them, |X| = Q+ |R+| Q+* + Q- |R-| Q-* with the Hermitian
     parts of the r x r blocks, and residual_eq costs two small eigensolves
     instead of an n x n one.  No sign of the blocks is assumed.
     """
-    mat = as_hermitian(a)
     qp = spaces.plus.frame
     qm = spaces.minus.frame
     _require_orthogonal(qp, qm)
@@ -164,7 +158,7 @@ def build_certificate(
     abs_x = _abs_over_frame(qp, rp) + _abs_over_frame(qm, rm)
     return Certificate(
         x=x,
-        residual_eq=frobenius(mat @ x - spaces.norm * abs_x),
+        residual_eq=frobenius(dec.matrix @ x - spaces.norm * abs_x),
         residual_perp=float(np.max(np.abs(basis.coords(x)))),
     )
 
@@ -237,12 +231,10 @@ def _verdict(dec: EigenDecomposition, basis: SubalgebraBasis, cfg: FWConfig) -> 
         verdict = UNDECIDED if err.near else NOT_MINIMAL
         return MinimalityReport(verdict=verdict, reason=REASON_NORM, norm=err.norm)
     res = moment_distance(spaces.plus, spaces.minus, basis, cfg, until_decided=True)
-    answer = decide(res, cfg)
+    answer = decide(res.distance, res.gap, cfg)
     cert = None
     if answer:
-        cert = build_certificate(
-            dec.matrix, spaces, res.witness_plus, res.witness_minus, basis=basis
-        )
+        cert = build_certificate(dec, spaces, res.witness_plus, res.witness_minus, basis)
     verdict, reason = _OUTCOMES[answer]
     return MinimalityReport(
         verdict=verdict,

@@ -14,7 +14,7 @@ soon as it is definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from numbers import Integral
 
 import numpy as np
 
@@ -86,6 +86,13 @@ class CompressedFamily:
     mats: np.ndarray  # (t, r, r) Hermitian stack
 
 
+def _require_max_iter(max_iter) -> None:
+    """Refuse an iteration budget that is not an integer >= 1; a bool or an
+    integral float is not an integer here."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValueError("max_iter must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class FWConfig:
     """Budget for the Frank-Wolfe feasibility solve."""
@@ -97,8 +104,7 @@ class FWConfig:
     def __post_init__(self):
         if not all(np.isfinite(t) and t > 0 for t in (self.gap_tol, self.dist_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _require_max_iter(self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -181,22 +187,18 @@ def jnr_support(fam: CompressedFamily, w) -> float:
     return max(0.0, support_function(fam, w))
 
 
-class _Progress(NamedTuple):
-    distance: float
-    gap: float
-
-
-def decide(res, cfg: FWConfig) -> bool | None:
-    """The three-valued verdict on a moment-distance solve.
+def decide(distance: float, gap: float, cfg: FWConfig) -> bool | None:
+    """The three-valued verdict on a moment-distance solve at ``distance``
+    with Frank-Wolfe gap ``gap``.
 
     True (the moments intersect) needs distance <= dist_tol with the gap
     certificate met; False (disjoint) needs the gap-corrected lower bound
     distance - sqrt(2 * gap) to clear dist_tol; anything in between is
-    None.  ``res`` is an FWResult, or anything with its distance and gap.
+    None.
     """
-    if res.distance <= cfg.dist_tol and res.gap <= cfg.gap_tol:
+    if distance <= cfg.dist_tol and gap <= cfg.gap_tol:
         return True
-    if res.distance - np.sqrt(2.0 * max(res.gap, 0.0)) > cfg.dist_tol:
+    if distance - np.sqrt(2.0 * max(gap, 0.0)) > cfg.dist_tol:
         return False
     return None
 
@@ -248,7 +250,7 @@ def moment_distance(
         if gap <= cfg.gap_tol:
             stop = STOP_GAP_MET
             break
-        if until_decided and decide(_Progress(np.sqrt(dd), gap), cfg) is not None:
+        if until_decided and decide(np.sqrt(dd), gap, cfg) is not None:
             stop = STOP_DECIDED
             break
         if it == cfg.max_iter:
@@ -290,11 +292,12 @@ def intersects(
     indefinite one raises Undecided rather than guessing.
     """
     res = moment_distance(s1, s2, basis, cfg, until_decided=True)
-    answer = decide(res, cfg)
+    answer = decide(res.distance, res.gap, cfg)
     if answer is None:
         raise Undecided(
             f"distance {res.distance:.3e} with gap {res.gap:.3e} cannot be separated "
-            f"from tolerance {cfg.dist_tol:.1e} at the iteration cap",
+            f"from tolerance {cfg.dist_tol:.1e}; the solve stopped at {res.stop_reason} "
+            f"after {res.iterations} iterations",
             distance=res.distance,
             gap=res.gap,
         )

@@ -19,20 +19,21 @@ import numpy as np
 
 from .algebra import SubalgebraBasis, compress
 from .errors import NormNotTwoSided
-from .hermitian import EigenDecomposition, as_hermitian, eig_hermitian
+from .hermitian import EigenDecomposition, as_hermitian, cluster_eigenvalues, eig_hermitian
 from .minimality import (
     MINIMAL,
     MinimalityReport,
-    _clusters,
     _decompose,
     _verdict,
     check_minimal,
+    default_cluster_tol,
     spectral_split,
 )
 from .moment import (
     CompressedFamily,
     FWConfig,
     Subspace,
+    _require_max_iter,
     compress_family,
     support_function,
 )
@@ -107,8 +108,7 @@ class SolverConfig:
     fw: FWConfig = field(default_factory=FWConfig)
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _require_max_iter(self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ class BestApproxResult:
 
 def _extreme_space(dec: EigenDecomposition, top: bool) -> Subspace:
     """The top (or bottom) eigenvalue cluster of a decomposition."""
-    return Subspace._trusted(_clusters(dec)[1][-1 if top else 0])
+    frames = cluster_eigenvalues(dec, default_cluster_tol(dec.norm))
+    return Subspace._trusted(frames[-1 if top else 0])
 
 
 def subdiff_lambda_max(fam: AffineFamily, x) -> SubdifferentialView:

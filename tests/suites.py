@@ -60,11 +60,14 @@ def grid_agreement_suite() -> list[np.ndarray]:
 
 
 # One malformed variant of a matrix or frame document per way it can break:
-# a null entry, an object entry, a non-list body and a list-valued size.
+# a null entry, an object entry, a non-list body, and a size that is a list,
+# a fraction (which int() would truncate to the right size) or a bool.
 # Each takes the document and the key of its body ("entries" or "columns").
 MALFORMED = {
     "null_entry": lambda doc, key: {**doc, key: [[[None, 0.0]] * len(v) for v in doc[key]]},
     "object_entry": lambda doc, key: {**doc, key: [[{}] * len(v) for v in doc[key]]},
     "non_list": lambda doc, key: {**doc, key: 5},
     "list_n": lambda doc, key: {**doc, "n": [doc["n"]]},
+    "fractional_n": lambda doc, key: {**doc, "n": doc["n"] + 0.5},
+    "bool_n": lambda doc, key: {**doc, "n": True},
 }

@@ -191,6 +191,24 @@ class TestSupport:
         assert code == 1
 
 
+class TestSupportUndecided:
+    def test_budget_too_small(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        v = write_frame(tmp_path / "v.json", list(q[:, :2].T))
+        w = write_frame(tmp_path / "w.json", list(q[:, 2:].T))
+        argv = ["support", "--v-frame", v, "--w-frame", w, "--algebra", "diag"]
+        assert main([*argv, "--max-iter", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("undecided: ")
+        assert lines[0].endswith("the solve stopped at budget after 5 iterations")
+        # the default budget settles the same pair
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"support_pair": True}
+
+
 class TestConstructAndCheck:
     def test_block_example_pipeline(self, tmp_path, capsys):
         v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
@@ -341,6 +359,52 @@ class TestMalformedDocuments:
         assert "document" in lines[0]
 
 
+class TestNonIntegerSizes:
+    """A size or count that is a fraction or a bool is refused, exit 2 and one
+    error line, instead of being truncated."""
+
+    def assert_refused(self, capsys, argv, text):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert text in lines[0]
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_matrix_n(self, tmp_path, capsys, n):
+        # int() would read the size as 1 and answer not_minimal
+        path = write_doc(tmp_path / "a.json", {"n": n, "entries": [[[1.0, 0.0]]]})
+        self.assert_refused(capsys, ["check", "--matrix", path, "--algebra", "diag"],
+                            "must be an integer")
+
+    @pytest.mark.parametrize("doc, text", [
+        ({"kind": "pauli-diag", "q": 1.7}, "'q' must be an integer"),
+        ({"kind": "pauli-diag", "q": True}, "'q' must be an integer"),
+        ({"kind": "block", "pattern": [[2.5, "diagonal"], [1, "full"]]}, "'pattern' must be"),
+        ({"kind": "block", "pattern": [[True, "diagonal"], [2, "full"]]}, "'pattern' must be"),
+    ], ids=["fractional_q", "bool_q", "fractional_size", "bool_size"])
+    def test_algebra_document(self, tmp_path, capsys, doc, text):
+        # the block sizes would truncate to 2 + 1 and 1 + 2, the size of M1
+        m1 = write_matrix(tmp_path / "m1.json", M1)
+        alg = write_doc(tmp_path / "alg.json", doc)
+        self.assert_refused(capsys, ["check", "--matrix", m1, "--algebra", f"custom:{alg}"], text)
+
+
+class TestAlgebraSizeFirst:
+    def test_pauli_not_built_for_wrong_size(self, m1_file, capsys, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"built a pauli:{q} basis")
+
+        monkeypatch.setattr(bio, "build_pauli_diagonal", refuse)
+        assert main(["check", "--matrix", m1_file, "--algebra", "pauli:7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "does not match the input size 3" in lines[0]
+
+
 class TestValidationCounts:
     """Calls of the one validation pass per command route, basis build
     included: the command line adds none in front of the library's own."""
@@ -369,12 +433,13 @@ class TestValidationCounts:
         one_sided = write_matrix(tmp_path / "d.json", np.diag([1.0, 0.5, 0.0]))
         alg = write_doc(tmp_path / "alg.json", {"kind": "custom", "elements": [
             bio.matrix_to_doc(np.diag(e)) for e in np.eye(3)]})
-        # A: in check_minimal's eigensolve and build_certificate; the basis once
-        assert self.run(capsys, count, ["check", "--matrix", minimal, "--algebra", "diag"]) == 3
+        # A in check_minimal's eigensolve, which the certificate reuses; the
+        # basis once
+        assert self.run(capsys, count, ["check", "--matrix", minimal, "--algebra", "diag"]) == 2
         assert self.run(capsys, count, ["check", "--matrix", one_sided, "--algebra", "diag"]) == 2
         # three custom elements by orthonormalize, then the basis stack
         assert self.run(capsys, count, ["check", "--matrix", minimal,
-                                        "--algebra", f"custom:{alg}"]) == 6
+                                        "--algebra", f"custom:{alg}"]) == 5
         # the basis, A in AffineFamily, and the eigensolves of A(x) and of the
         # compressed direction
         assert self.run(capsys, count, ["dirderiv", "--matrix", minimal, "--algebra", "diag",

@@ -144,8 +144,15 @@ class TestCluster:
 
     def test_rejects_nonpositive_tau(self):
         dec = eig_hermitian(np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
             cluster_eigenvalues(dec, 0.0)
+
+    @pytest.mark.parametrize("tau", [-1e-8, np.nan, np.inf])
+    def test_rejects_tau_that_is_not_positive_and_finite(self, tau):
+        # a NaN tau would merge every spectrum into one cluster
+        dec = eig_hermitian(np.diag([-1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            cluster_eigenvalues(dec, tau)
 
 
 class TestValidatesOnce:

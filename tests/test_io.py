@@ -62,6 +62,16 @@ class TestMatrixDocuments:
         with pytest.raises(ValueError, match="matrix document"):
             bio.matrix_from_doc(doc)
 
+    @pytest.mark.parametrize("n", [1.5, True, "1.0", float("inf"), float("nan")])
+    def test_rejects_size_that_is_not_an_integer(self, n):
+        # n = 1.5 or true would truncate to the 1 x 1 body's size
+        with pytest.raises(ValueError, match="matrix document 'n' must be an integer"):
+            bio.matrix_from_doc({"n": n, "entries": [[[1.0, 0.0]]]})
+
+    def test_integral_size_kept(self):
+        for n in (1, 1.0, "1"):
+            assert bio.matrix_from_doc({"n": n, "entries": [[[2.0, 0.0]]]})[0, 0] == 2.0
+
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             bio.matrix_from_doc({"n": 2, "entries": [[[0, 0]], [[0, 0], [0, 0]]]})
@@ -138,10 +148,42 @@ class TestAlgebraDocuments:
         {"kind": "diag"},
         {"kind": "block", "pattern": 5},
         {"kind": "block", "pattern": [[2, "diagonal"]], "n": [2]},
-    ], ids=["elements", "element", "q", "n", "no_n", "pattern", "block_n"])
+        {"kind": "pauli-diag", "q": 1.7},
+        {"kind": "pauli-diag", "q": True},
+        {"kind": "diag", "n": 2.5},
+        {"kind": "diag", "n": True},
+        {"kind": "block", "pattern": [[2.5, "diagonal"]]},
+        {"kind": "block", "pattern": [[True, "diagonal"]]},
+        {"kind": "block", "pattern": [[2, "diagonal"]], "n": 2.5},
+    ], ids=["elements", "element", "q", "n", "no_n", "pattern", "block_n", "fractional_q",
+            "bool_q", "fractional_n", "bool_n", "fractional_size", "bool_size",
+            "fractional_block_n"])
     def test_rejects_malformed(self, doc):
         with pytest.raises(ValueError):
             bio.algebra_from_doc(doc)
+
+    def test_integral_values_kept(self):
+        assert bio.algebra_from_doc({"kind": "pauli-diag", "q": "2"}).n == 4
+        assert bio.algebra_from_doc({"kind": "pauli-diag", "q": 2.0}).n == 4
+        assert bio.algebra_from_doc({"kind": "diag", "n": 3.0}).n == 3
+        assert bio.algebra_from_doc({"kind": "block", "pattern": [[2.0, "full"]]}).dim == 4
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "pauli-diag", "q": 7},
+        {"kind": "pauli-diag", "q": 10**6},
+        {"kind": "pauli-diag", "q": 1},
+        {"kind": "diag", "n": 4},
+        {"kind": "block", "n": 4, "pattern": [[2, "diagonal"], [2, "full"]]},
+        {"kind": "custom", "elements": [bio.matrix_to_doc(np.eye(2))]},
+    ], ids=["pauli", "huge_pauli", "small_pauli", "diag", "block", "custom"])
+    def test_size_checked_before_build(self, monkeypatch, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the basis was built before its size was checked")
+
+        for name in ("build_diagonal", "build_pauli_diagonal", "build_block", "orthonormalize"):
+            monkeypatch.setattr(bio, name, refuse)
+        with pytest.raises(ValueError, match="does not match the input size 3"):
+            bio.algebra_from_doc(doc, n_hint=3)
 
     def test_n_hint_fills_missing_n(self):
         assert bio.algebra_from_doc({"kind": "diag"}, n_hint=3).n == 3

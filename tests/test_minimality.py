@@ -158,6 +158,28 @@ class TestCheckMinimal:
         assert report.norm == pytest.approx(2.0, abs=1e-12)
         assert len(calls) == 1  # the verdict and its norm come from one decomposition
 
+    def test_one_sided_builds_no_frames(self, monkeypatch):
+        calls = []
+        real = minimality.cluster_eigenvalues
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(minimality, "cluster_eigenvalues", counting)
+        cases = [
+            (m_block(1.0, 2.0), block_basis(), NOT_MINIMAL),
+            (np.diag([1.0, 0.5, 0.0]), build_diagonal(3), NOT_MINIMAL),
+            (np.diag([1.0, -1.0 + 1.5e-8, 0.2]), build_diagonal(3), UNDECIDED),
+        ]
+        for a, basis, verdict in cases:
+            report = check_minimal(a, basis)
+            assert (report.verdict, report.reason) == (verdict, REASON_NORM)
+        assert calls == []
+        # a two-sided spectrum is clustered once
+        assert check_minimal(M1, build_diagonal(3)).verdict == MINIMAL
+        assert calls == [1]
+
     def test_minimal_one_eigensolve(self, monkeypatch):
         basis = build_diagonal(3)
         counts = {"eig_hermitian": 0, "abs_hermitian": 0, "_as_hermitian_stack": 0}
@@ -177,8 +199,9 @@ class TestCheckMinimal:
         # from the witness blocks
         assert counts["eig_hermitian"] == 1
         assert counts["abs_hermitian"] == 0
-        # A is validated inside eig_hermitian and by build_certificate
-        assert counts["_as_hermitian_stack"] <= 2
+        # A is validated once, inside eig_hermitian; the certificate takes
+        # the validated matrix from the decomposition
+        assert counts["_as_hermitian_stack"] == 1
 
     def test_unitary_covariance(self):
         # ||U A U* + U B U*|| = ||A + B||, so A is minimal for the diagonals
@@ -275,7 +298,7 @@ class TestBuildCertificate:
         minus = Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex))
         spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus)
         cert = build_certificate(
-            M1, spaces, np.diag([1.0, 0.0]), np.eye(1), basis=build_diagonal(3)
+            eig_hermitian(M1), spaces, np.diag([1.0, 0.0]), np.eye(1), build_diagonal(3)
         )
         assert np.allclose(cert.x, X_SWAP, atol=1e-12)
         # direct multiplication: M1 X = diag(1, 1, 0) = |X|
@@ -284,10 +307,8 @@ class TestBuildCertificate:
         assert cert.residual_perp <= 1e-12
 
     def test_diag_certificate(self):
-        spaces = extremal_eigenspaces(np.diag([1.0, -1.0]))
-        cert = build_certificate(
-            np.diag([1.0, -1.0]), spaces, np.eye(1), np.eye(1), basis=build_diagonal(2)
-        )
+        dec = eig_hermitian(np.diag([1.0, -1.0]))
+        cert = build_certificate(dec, spectral_split(dec), np.eye(1), np.eye(1), build_diagonal(2))
         assert np.allclose(cert.x, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_trace_norm_two(self):
@@ -328,10 +349,11 @@ class TestFactoredResidual:
         assert checked == 10 + 3 + 2
 
     def test_indefinite_block_gives_dense_value(self):
-        spaces = extremal_eigenspaces(M1)
+        dec = eig_hermitian(M1)
+        spaces = spectral_split(dec)
         u, _ = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, 1.0]]))
         r_plus = (u * np.array([1.0 + 1e-9, -1e-9])) @ u.conj().T  # trace one, not PSD
-        cert = build_certificate(M1, spaces, r_plus, np.eye(1), basis=build_diagonal(3))
+        cert = build_certificate(dec, spaces, r_plus, np.eye(1), build_diagonal(3))
         dense = np.linalg.norm(M1 @ cert.x - spaces.norm * abs_hermitian(cert.x))
         assert abs(cert.residual_eq - dense) <= 1e-14
         # A X - |X| = Q+ (R+ - |R+|) Q+*, of norm twice the negative eigenvalue
@@ -342,7 +364,7 @@ class TestFactoredResidual:
         minus = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
         spaces = ExtremalSpaces(norm=1.0, plus=plus, minus=minus)
         with pytest.raises(NotOrthogonal):
-            build_certificate(M1, spaces, np.eye(1), np.eye(1), basis=build_diagonal(3))
+            build_certificate(eig_hermitian(M1), spaces, np.eye(1), np.eye(1), build_diagonal(3))
 
 
 class TestTrustedFrames:

@@ -12,7 +12,6 @@ from bminimal.errors import NormNotTwoSided, Undecided
 from bminimal.minimality import extremal_eigenspaces
 from bminimal.moment import (
     FWConfig,
-    FWResult,
     Subspace,
     compress_family,
     decide,
@@ -269,10 +268,6 @@ def random_rank2_pair(rng, n=8):
     return Subspace(q[:, :2]), Subspace(q[:, 2:])
 
 
-def _result(distance, gap):
-    return FWResult(distance, np.eye(1), np.eye(1), gap, 0, "budget")
-
-
 class TestFWConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["dist_tol", "gap_tol"])
@@ -280,16 +275,25 @@ class TestFWConfig:
         with pytest.raises(ValueError, match="tolerances must be positive and finite"):
             FWConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0, True, "3", 0, -1])
+    def test_rejects_max_iter_that_is_not_a_count(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            FWConfig(max_iter=value)
+
+    def test_accepts_integer_max_iter(self):
+        assert FWConfig(max_iter=1).max_iter == 1
+        assert FWConfig(max_iter=np.int64(7)).max_iter == 7
+
 
 class TestDecide:
     def test_three_values(self):
         cfg = FWConfig(gap_tol=1e-9, dist_tol=1e-6)
-        assert decide(_result(5e-7, 1e-10), cfg) is True
-        assert decide(_result(5e-7, 1e-8), cfg) is None
-        assert decide(_result(1e-2, 1e-6), cfg) is False
+        assert decide(5e-7, 1e-10, cfg) is True
+        assert decide(5e-7, 1e-8, cfg) is None
+        assert decide(1e-2, 1e-6, cfg) is False
         # the bound distance - sqrt(2 gap) has to clear dist_tol
-        assert decide(_result(1e-3 + 0.5e-6, 5e-7), cfg) is None
-        assert decide(_result(1e-3 + 2e-6, 5e-7), cfg) is False
+        assert decide(1e-3 + 0.5e-6, 5e-7, cfg) is None
+        assert decide(1e-3 + 2e-6, 5e-7, cfg) is False
 
     def test_early_stop_keeps_verdict_on_random_pairs(self):
         cfg = FWConfig(max_iter=2000)
@@ -300,8 +304,8 @@ class TestDecide:
             a, b = random_rank2_pair(rng)
             full = moment_distance(a, b, basis, cfg)
             early = moment_distance(a, b, basis, cfg, until_decided=True)
-            assert decide(full, cfg) is False
-            assert decide(early, cfg) is False
+            assert decide(full.distance, full.gap, cfg) is False
+            assert decide(early.distance, early.gap, cfg) is False
             assert early.stop_reason in ("decided", "gap_met")
             assert early.iterations <= cfg.max_iter // 100
             capped += full.stop_reason == "budget"
@@ -318,8 +322,8 @@ class TestDecide:
                 continue
             full = moment_distance(spaces.plus, spaces.minus, basis, cfg)
             early = moment_distance(spaces.plus, spaces.minus, basis, cfg, until_decided=True)
-            assert decide(early, cfg) == decide(full, cfg)
-            assert decide(early, cfg) is not None
+            assert decide(early.distance, early.gap, cfg) == decide(full.distance, full.gap, cfg)
+            assert decide(early.distance, early.gap, cfg) is not None
             assert early.iterations <= min(full.iterations, cfg.max_iter // 100)
             solved += 1
         assert solved == 10
@@ -343,8 +347,11 @@ class TestIntersects:
         basis = build_diagonal(4)
         a = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         b = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        with pytest.raises(Undecided):
+        with pytest.raises(Undecided, match="stopped at budget after 10 iterations"):
             intersects(a, b, basis, FWConfig(max_iter=10))
+        # a loose gap tolerance stops the solve before the distance is settled
+        with pytest.raises(Undecided, match="stopped at gap_met after"):
+            intersects(a, b, basis, FWConfig(gap_tol=1e-2))
 
 
 class TestInvariants:

@@ -341,3 +341,14 @@ class TestBestApproximation:
                                     SolverConfig(max_iter=50))
         norms = [f for _, f in result.trace]
         assert result.dist <= min(norms) + 1e-12
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0, True, "3", 0, -1])
+    def test_rejects_max_iter_that_is_not_a_count(self, value):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            SolverConfig(max_iter=value)
+
+    def test_accepts_integer_max_iter(self):
+        assert SolverConfig(max_iter=1).max_iter == 1
+        assert SolverConfig(max_iter=np.int64(7)).max_iter == 7

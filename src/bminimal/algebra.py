@@ -1,14 +1,15 @@
 """Orthonormal Hermitian bases of C*-subalgebras of M_n(C).
 
 A subalgebra is represented only by an orthonormal (trace inner product)
-basis of its Hermitian part; closure under products is verified, not
-enforced.  Builders cover the diagonal algebra, block-diagonal algebras,
-and the diagonal Pauli-string basis on qubit registers.
+basis of its Hermitian part, held by the entries where some element is
+nonzero; closure under products is verified, not enforced.  Builders
+cover the diagonal algebra, block-diagonal algebras, and the diagonal
+Pauli-string basis on qubit registers, and fill that form directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,67 +25,131 @@ _IMAG_RESIDUE_TOL = 1e-12
 _SPAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubalgebraBasis:
     """Orthonormal Hermitian basis {B_1, ..., B_t} of a subalgebra of M_n(C).
 
-    ``elements`` is stacked with shape (t, n, n); orthonormality under
-    <X, Y> = tr(XY) is checked on construction.  The stack is fixed from
-    then on, so the distance of I_n from the span is computed at most once
-    per instance and kept (``contains_identity`` reads it).
+    The basis is held by its support: ``support`` is the pair (rows, cols)
+    of the entries where some element is nonzero, in row-major order, and
+    ``table[k, s]`` is B_k at entry s, a (t, |S|) array.  The builders fill
+    both directly; ``SubalgebraBasis(elements)`` takes a (t, n, n) stack,
+    checks it is Hermitian and orthonormal under <X, Y> = tr(XY), and keeps
+    only its support.  The basis is fixed from then on, so the distance of
+    I_n from the span is computed at most once per instance and kept
+    (``contains_identity`` reads it).
     """
 
-    elements: np.ndarray
-    label: str = "custom"
-    n: int = field(init=False)
+    label: str
+    n: int
+    support: tuple[np.ndarray, np.ndarray]
+    table: np.ndarray
 
-    def __post_init__(self):
-        elems = np.asarray(self.elements, dtype=complex)
+    def __init__(self, elements, label: str = "custom"):
+        elems = np.asarray(elements, dtype=complex)
         if elems.ndim != 3 or elems.shape[1] != elems.shape[2] or elems.shape[0] == 0:
             raise ValueError(f"expected a nonempty (t, n, n) stack, got {elems.shape}")
-        elems = _as_hermitian_stack(elems)
+        t, n = elems.shape[:2]
+        flat = _as_hermitian_stack(elems).reshape(t, -1)
+        nonzero = np.flatnonzero((flat != 0).any(axis=0))
+        table = flat[:, nonzero]
         # tr(B_a B_b) = sum_ij B_a[i, j] conj(B_b[i, j]) for Hermitian B_b.
-        flat = elems.reshape(elems.shape[0], -1)
-        gram = np.real(flat @ flat.conj().T)
-        if np.max(np.abs(gram - np.eye(elems.shape[0]))) > ORTHONORMALITY_TOL:
+        gram = np.real(table @ table.conj().T)
+        if np.max(np.abs(gram - np.eye(t))) > ORTHONORMALITY_TOL:
             raise ValueError("basis elements are not orthonormal under the trace")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "n", elems.shape[1])
+        self._fill(label, n, divmod(nonzero, n), table)
+
+    @classmethod
+    def _trusted(cls, label: str, n: int, support, table: np.ndarray) -> "SubalgebraBasis":
+        """A basis a builder filled itself, orthonormal by construction: no checks."""
+        obj = object.__new__(cls)
+        obj._fill(label, n, support, table)
+        return obj
+
+    def _fill(self, label, n, support, table) -> None:
+        for name, value in (("label", label), ("n", n), ("support", support), ("table", table)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[0]
+        return self.table.shape[0]
+
+    @property
+    def elements(self) -> np.ndarray:
+        """The dense (t, n, n) stack, built on each access and not kept."""
+        rows, cols = self.support
+        out = np.zeros((self.dim, self.n * self.n), dtype=complex)
+        out[:, rows * self.n + cols] = self.table
+        return out.reshape(self.dim, self.n, self.n)
 
     def coords(self, x) -> np.ndarray:
         """The traces (tr(B_k X))_k of an n x n matrix X; real up to rounding
         when X is Hermitian."""
-        return np.einsum("kij,ji->k", self.elements, x)
+        mat = np.asarray(x)
+        if mat.shape != (self.n, self.n):
+            raise ValueError(f"shape {mat.shape} does not match basis ambient n = {self.n}")
+        rows, cols = self.support
+        return self.table @ mat[cols, rows]
 
     def combine(self, w) -> np.ndarray:
         """The combination sum_k w_k B_k of a length-t coefficient vector."""
-        return np.einsum("k,kij->ij", w, self.elements)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        out[self.support] = w @ self.table
+        return out
 
     @cached_property
     def _identity_residual(self) -> float:
         """||I - sum_k tr(B_k) B_k||_F: the distance of I_n from the span."""
-        eye = np.eye(self.n, dtype=complex)
-        return frobenius(eye - self.combine(compress(eye, self)))
+        rows, cols = self.support
+        on_diag = rows == cols
+        traces = self.table[:, on_diag].sum(axis=1).real
+        residual = traces @ self.table - on_diag
+        # diagonal entries of I outside the support are missed entirely
+        missed = self.n - int(np.count_nonzero(on_diag))
+        return float(np.sqrt(frobenius(residual) ** 2 + missed))
+
+    @cached_property
+    def _by_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support laid out by rows: the rank p of each entry among the
+        entries of its row, and ``cols[p, i]``, the column of the p-th entry
+        of row i (0 where row i has fewer)."""
+        rows, cols = self.support
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        by_row = np.zeros((int(rank.max()) + 1, self.n), dtype=np.intp)
+        by_row[rank, rows] = cols
+        return rank, by_row
+
+    def _apply(self, q: np.ndarray) -> np.ndarray:
+        """The (t, n, r) stack B_k Q, summed over the support laid out by rows.
+
+        An element with at most one nonzero per row (every builder's) gets
+        each entry as one product, exactly."""
+        rank, cols = self._by_row
+        coef = np.zeros((len(cols), self.dim, self.n, 1, 1), dtype=complex)
+        coef[rank, :, self.support[0], 0, 0] = self.table.T
+        # (t, n, 1, 1) @ (n, 1, r): one product per entry, without the
+        # temporaries of a broadcast multiply
+        bq = coef[0] @ q[cols[0], None]
+        for j, c in zip(cols[1:], coef[1:]):
+            bq += c @ q[j, None]
+        return bq[:, :, 0]
 
     def compress_to(self, frame) -> np.ndarray:
-        """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q."""
+        """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q,
+        computed as Q* (B_k Q): for a builder's basis it matches the dense
+        product bit for bit."""
         q = np.asarray(frame)
-        mats = q.conj().T @ (self.elements @ q)
-        return (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2
+        mats = q.conj().T @ self._apply(q)
+        mats += np.conj(np.transpose(mats, (0, 2, 1)))
+        mats /= 2
+        return mats
 
 
 def build_diagonal(n: int) -> SubalgebraBasis:
     """Rank-one diagonal projections e_i e_i*, the standard basis of D_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    elems = np.zeros((n, n, n), dtype=complex)
     idx = np.arange(n)
-    elems[idx, idx, idx] = 1.0
-    return SubalgebraBasis(elements=elems, label="diag")
+    return SubalgebraBasis._trusted("diag", n, (idx, idx), np.eye(n, dtype=complex))
 
 
 def build_block(pattern: list[tuple[int, str]], n: int | None = None) -> SubalgebraBasis:
@@ -94,43 +159,49 @@ def build_block(pattern: list[tuple[int, str]], n: int | None = None) -> Subalge
     block contributes its diagonal projections; full blocks additionally
     contribute, for i < j inside the block, the symmetric pair
     (e_i e_j* + e_j e_i*)/sqrt(2) followed by the antisymmetric pair
-    (-i e_i e_j* + i e_j e_i*)/sqrt(2).
+    (-i e_i e_j* + i e_j e_i*)/sqrt(2).  The support is the diagonal of a
+    diagonal block and every entry of a full one.
     """
     if not pattern:
         raise InvalidPattern("pattern must contain at least one block")
-    sizes = []
     for size, kind in pattern:
         if size < 1:
             raise InvalidPattern(f"block sizes must be positive, got {size}")
         if kind not in ("diagonal", "full"):
             raise InvalidPattern(f"unknown block kind {kind!r}")
-        sizes.append(size)
-    total = sum(sizes)
+    total = sum(size for size, _ in pattern)
     if n is not None and n != total:
         raise InvalidPattern(f"block sizes sum to {total}, expected n = {n}")
-    n = total
-
-    elems = []
-    offset = 0
+    # A block adds as many elements as support entries (size, or size^2 when
+    # full), so the table is square and one offset indexes both of its axes.
+    t = sum(size * size if kind == "full" else size for size, kind in pattern)
+    table = np.zeros((t, t), dtype=complex)
+    rows, cols = [], []
+    offset = first = 0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for size, kind in pattern:
-        for i in range(offset, offset + size):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, i] = 1.0
-            elems.append(e)
+        idx = offset + np.arange(size)
+        diag = np.arange(size)
         if kind == "full":
-            for i in range(offset, offset + size):
-                for j in range(i + 1, offset + size):
-                    sym = np.zeros((n, n), dtype=complex)
-                    sym[i, j] = inv_sqrt2
-                    sym[j, i] = inv_sqrt2
-                    elems.append(sym)
-                    anti = np.zeros((n, n), dtype=complex)
-                    anti[i, j] = -1j * inv_sqrt2
-                    anti[j, i] = 1j * inv_sqrt2
-                    elems.append(anti)
+            rows.append(np.repeat(idx, size))
+            cols.append(np.tile(idx, size))
+            i, j = np.triu_indices(size, 1)
+            sym = first + size + 2 * np.arange(i.size)
+            upper, lower = first + i * size + j, first + j * size + i
+            table[sym, upper] = inv_sqrt2
+            table[sym, lower] = inv_sqrt2
+            table[sym + 1, upper] = -1j * inv_sqrt2
+            table[sym + 1, lower] = 1j * inv_sqrt2
+            diag = diag * (size + 1)  # entry (a, a) of the block, row-major
+        else:
+            rows.append(idx)
+            cols.append(idx)
+        table[first + np.arange(size), first + diag] = 1.0
+        first += rows[-1].size
         offset += size
-    return SubalgebraBasis(elements=np.stack(elems), label="block")
+    return SubalgebraBasis._trusted(
+        "block", total, (np.concatenate(rows), np.concatenate(cols)), table
+    )
 
 
 def build_pauli_diagonal(q: int) -> SubalgebraBasis:
@@ -151,10 +222,9 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
         # is the innermost Kronecker factor so far of every row.
         m = 2 ** (j - 1)
         signs = (factors[:, None, None, :] * signs[None, :, :, None]).reshape(2 * m, 2 * m)
-    elems = np.zeros((n, n, n), dtype=complex)
     idx = np.arange(n)
-    elems[:, idx, idx] = signs / np.sqrt(n)
-    return SubalgebraBasis(elements=elems, label="pauli-diag")
+    table = (signs / np.sqrt(n)).astype(complex)
+    return SubalgebraBasis._trusted("pauli-diag", n, (idx, idx), table)
 
 
 def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
@@ -226,13 +296,14 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
         raise SpanMismatch("ambient dimensions differ")
     if from_basis.dim != to_basis.dim:
         raise SpanMismatch("basis dimensions differ")
-    c = np.real(np.einsum("kij,lji->kl", to_basis.elements, from_basis.elements))
+    to_elems, from_elems = to_basis.elements, from_basis.elements
+    c = np.real(np.einsum("kij,lji->kl", to_elems, from_elems))
     for direction, a, b, m in (
-        ("from", from_basis, to_basis, c),
-        ("to", to_basis, from_basis, c.T),
+        ("from", from_elems, to_elems, c),
+        ("to", to_elems, from_elems, c.T),
     ):
-        recon = np.einsum("kl,kij->lij", m, b.elements)
-        residual = float(max(frobenius(a.elements[i] - recon[i]) for i in range(a.dim)))
+        recon = np.einsum("kl,kij->lij", m, b)
+        residual = float(max(frobenius(a[i] - recon[i]) for i in range(len(a))))
         if residual > _SPAN_TOL:
             raise SpanMismatch(
                 f"{direction}-basis element leaves the common span (residual {residual:.3e})"

@@ -33,6 +33,7 @@ from .hermitian import (
 from .moment import FWConfig, Subspace, decide, intersects, moment_distance
 
 ORTHOGONALITY_TOL = 1e-8
+_SMALLEST_TOL = float(np.finfo(float).smallest_subnormal)
 
 MINIMAL = "minimal"
 NOT_MINIMAL = "not_minimal"
@@ -45,7 +46,10 @@ REASON_GAP = "gap_undecided"
 
 
 def default_cluster_tol(norm: float) -> float:
-    return 1e-8 * max(1.0, norm)
+    """1e-8 relative to the norm, so A and cA cluster alike; floored at the
+    smallest positive float, since cluster_eigenvalues needs tau > 0 and
+    A(x) = 0 still has its one cluster."""
+    return max(1e-8 * norm, _SMALLEST_TOL)
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,11 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     With tau = default_cluster_tol(||A||), the norm is two-sided iff
     |lam_max + lam_min| <= tau; otherwise NormNotTwoSided is raised,
     carrying the norm and flagging deficits up to 2 tau as ``near``, where
-    neither answer is trustworthy, as is a spectrum that is one cluster at
-    tau.  This is the package's one two-sidedness rule.  Only a two-sided
-    spectrum is clustered.
+    neither answer is trustworthy.  This is the package's one two-sidedness
+    rule.  Only a two-sided spectrum is clustered.  Its two ends are at
+    least 2 ||A|| - tau = (2e8 - 1) tau apart, so n - 1 gaps of at most tau
+    join them into one cluster only when n > 2e8 (below the floor of
+    ``default_cluster_tol``, at subnormal norms, this bound does not hold).
     """
     norm = dec.norm
     tau = default_cluster_tol(norm)
@@ -105,8 +111,6 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
             near=deficit <= 2.0 * tau,
         )
     frames = cluster_eigenvalues(dec, tau)
-    if len(frames) == 1:  # both sides would share one frame
-        raise NormNotTwoSided(f"the spectrum is one cluster at tau = {tau:.1e}", norm, near=True)
     # The cluster frames are columns of the decomposition's unitary, so the
     # subspaces take them as they are.
     return ExtremalSpaces(
@@ -255,6 +259,8 @@ def is_support_pair(
     """Do the moments of two orthogonal subspaces intersect?"""
     if not contains_identity(basis):
         raise NonUnitalBasis("support pairs are defined for unital subalgebras")
+    if v.n != w.n:
+        raise ValueError(f"frames of different sizes: V has {v.n} rows, W has {w.n}")
     _require_orthogonal(v.frame, w.frame)
     return intersects(v, w, basis, cfg)
 

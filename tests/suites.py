@@ -71,3 +71,7 @@ MALFORMED = {
     "fractional_n": lambda doc, key: {**doc, "n": doc["n"] + 0.5},
     "bool_n": lambda doc, key: {**doc, "n": True},
 }
+
+# Scales c for the sweep "A is minimal iff cA is": 1e-12 to 1e12 in steps
+# of 100.
+SCALES = [10.0**e for e in range(-12, 13, 2)]

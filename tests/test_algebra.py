@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,22 +273,13 @@ class TestUnit:
         e1[0, 0] = 1.0
         assert not contains_identity(orthonormalize([e1]))
 
-    def test_computed_once_per_basis(self, monkeypatch):
-        from bminimal import algebra
-
-        real = algebra.compress
-        calls = []
-
-        def counting(rho, basis):
-            calls.append(1)
-            return real(rho, basis)
-
-        monkeypatch.setattr(algebra, "compress", counting)
+    def test_computed_once_per_basis(self):
         basis = build_diagonal(3)
-        assert contains_identity(basis) and contains_identity(basis)
-        assert len(calls) == 1
+        assert contains_identity(basis)
+        # the second call reads the kept residual: a planted one shows through
+        vars(basis)["_identity_residual"] = 1.0
+        assert not contains_identity(basis)
         assert contains_identity(build_diagonal(3))  # a new basis computes its own
-        assert len(calls) == 2
 
 
 class TestValidation:
@@ -347,3 +339,94 @@ class TestBasisMaps:
             if re.search(r"\.elements\b", path.read_text())
         )
         assert readers == ["algebra.py", "io.py"]
+
+
+class TestSupportStorage:
+    """A builder holds its support and a (t, |S|) table, never a (t, n, n) stack."""
+
+    @pytest.mark.parametrize("build, arg", [(build_pauli_diagonal, 7), (build_diagonal, 128)],
+                             ids=["pauli-7", "diag-128"])
+    def test_build_peak_memory(self, build, arg):
+        # a dense (128, 128, 128) complex stack alone is 32 MiB
+        tracemalloc.start()
+        try:
+            basis = build(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.n == 128
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("build, arg, size", [
+        (build_diagonal, 5, 5),
+        (build_pauli_diagonal, 3, 8),
+        (build_block, [(2, "diagonal"), (3, "full")], 2 + 9),
+    ], ids=["diag", "pauli", "block"])
+    def test_support_size(self, build, arg, size):
+        basis = build(arg)
+        rows, cols = basis.support
+        assert rows.size == cols.size == size
+        assert basis.table.shape == (basis.dim, size)
+        # row-major order
+        assert np.all(np.diff(rows * basis.n + cols) > 0)
+
+
+def dense_maps_bases():
+    rng = np.random.default_rng(41)
+    return [
+        *(build_diagonal(n) for n in (1, 2, 5, 16, 64)),
+        *(build_pauli_diagonal(q) for q in range(1, 7)),
+        build_block([(2, "diagonal"), (2, "full")]),
+        build_block([(3, "full"), (1, "diagonal"), (2, "full")]),
+        build_block([(1, "full"), (4, "diagonal")]),
+        build_block([(4, "full")]),
+        orthonormalize([rand_hermitian(rng, 4) for _ in range(5)]),
+        orthonormalize([np.eye(3), np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, 0.0])]),
+        orthonormalize([np.diag([1.0, 0.0, 0.0]), np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]])]),
+    ]
+
+
+class TestAgainstDenseStack:
+    """Every map of the support form against a dense einsum over ``elements``."""
+
+    @pytest.mark.parametrize("basis", dense_maps_bases(), ids=lambda b: f"{b.label}-{b.n}-{b.dim}")
+    def test_maps(self, basis):
+        rng = np.random.default_rng(43)
+        stack = basis.elements
+        n, t = basis.n, basis.dim
+        assert stack.shape == (t, n, n)
+        assert np.array_equal(stack, np.conj(np.transpose(stack, (0, 2, 1))))
+        rows, cols = basis.support
+        off = np.ones((n, n), dtype=bool)
+        off[rows, cols] = False
+        assert not stack[:, off].any()
+        gram = np.real(np.einsum("aij,bji->ab", stack, stack))
+        assert np.max(np.abs(gram - np.eye(t))) <= 1e-12
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = rng.standard_normal(t)
+        assert np.max(np.abs(basis.coords(x) - np.einsum("kij,ji->k", stack, x))) <= 1e-12
+        assert np.max(np.abs(basis.combine(w) - np.einsum("k,kij->ij", w, stack))) <= 1e-12
+        for r in sorted({1, min(n, 3), n}):
+            q, _ = np.linalg.qr(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
+            dense = np.einsum("ia,kij,jb->kab", q.conj(), stack, q, optimize=True)
+            assert np.max(np.abs(basis.compress_to(q) - dense)) <= 1e-12
+        eye = np.eye(n)
+        residual = np.linalg.norm(eye - np.einsum("k,kij->ij", np.einsum("kii->k", stack), stack))
+        assert abs(basis._identity_residual - residual) <= 1e-12
+        assert contains_identity(basis) == (residual <= 1e-10 * np.sqrt(n))
+
+    def test_builder_compression_is_exact(self):
+        # one nonzero per row: B_k Q is exact, so Q* (B_k Q) is the dense product
+        rng = np.random.default_rng(47)
+        for basis in (build_diagonal(6), build_pauli_diagonal(3),
+                      build_block([(2, "diagonal"), (3, "full")])):
+            q, _ = np.linalg.qr(rng.standard_normal((basis.n, 2))
+                                + 1j * rng.standard_normal((basis.n, 2)))
+            mats = q.conj().T @ (basis.elements @ q)
+            assert np.array_equal(basis.compress_to(q), (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2)
+
+    def test_custom_keeps_its_support(self):
+        basis = orthonormalize([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+        assert [a.tolist() for a in basis.support] == [[0, 1, 2], [0, 1, 2]]
+        assert not contains_identity(orthonormalize([np.diag([1.0, 0.0, 0.0])]))
+

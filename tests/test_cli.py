@@ -11,7 +11,7 @@ from bminimal import algebra, hermitian
 from bminimal import io as bio
 from bminimal.cli import main
 from bminimal.moment import Subspace
-from suites import MALFORMED, constructed_minimal_3x3
+from suites import MALFORMED, SCALES, constructed_minimal_3x3
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -47,11 +47,17 @@ class TestCheck:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "not_minimal"
 
-    def test_one_cluster_spectrum_undecided(self, tmp_path, capsys):
-        path = write_matrix(tmp_path / "tiny.json", 1e-10 * M1)
-        assert main(["check", "--matrix", path, "--algebra", "diag"]) == 2
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("a, code, verdict", [
+        (M1, 0, "minimal"),
+        (np.diag([1.0, -1.0]), 1, "not_minimal"),
+    ], ids=["M1", "diag"])
+    def test_scale_covariant(self, tmp_path, capsys, a, code, verdict, c):
+        path = write_matrix(tmp_path / "scaled.json", c * a)
+        assert main(["check", "--matrix", path, "--algebra", "diag"]) == code
         doc = json.loads(capsys.readouterr().out)
-        assert (doc["verdict"], doc["reason"]) == ("undecided", "norm_not_two_sided")
+        assert doc["verdict"] == verdict
+        assert (doc["certificate"] is not None) == (verdict == "minimal")
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -190,6 +196,17 @@ class TestSupport:
         code = main(["support", "--v-frame", v, "--w-frame", w, "--algebra", "diag"])
         assert code == 1
 
+    def test_frames_of_different_sizes(self, tmp_path, capsys):
+        v = write_frame(tmp_path / "v.json", [[1, 0, 0, 0]])
+        w = write_frame(tmp_path / "w.json", [[0, 1, 0]])
+        code = main(["support", "--v-frame", v, "--w-frame", w, "--algebra", "diag"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "V has 4 rows, W has 3" in lines[0]
+
 
 class TestSupportUndecided:
     def test_budget_too_small(self, tmp_path, capsys):
@@ -242,6 +259,13 @@ class TestBestApproxAndDirDeriv:
                      "--w", "0,0,0"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    def test_dirderiv_at_zero_matrix(self, tmp_path, capsys):
+        # the top eigenspace of A(x) = 0 is all of C^3: the value is max_k w_k
+        path = write_matrix(tmp_path / "zero.json", np.zeros((3, 3)))
+        code = main(["dirderiv", "--matrix", path, "--algebra", "diag", "--w", "1,0,-2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0)
 
     def test_dirderiv_against_library(self, tmp_path, capsys):
         from bminimal.algebra import build_diagonal
@@ -433,18 +457,18 @@ class TestValidationCounts:
         one_sided = write_matrix(tmp_path / "d.json", np.diag([1.0, 0.5, 0.0]))
         alg = write_doc(tmp_path / "alg.json", {"kind": "custom", "elements": [
             bio.matrix_to_doc(np.diag(e)) for e in np.eye(3)]})
-        # A in check_minimal's eigensolve, which the certificate reuses; the
-        # basis once
-        assert self.run(capsys, count, ["check", "--matrix", minimal, "--algebra", "diag"]) == 2
-        assert self.run(capsys, count, ["check", "--matrix", one_sided, "--algebra", "diag"]) == 2
-        # three custom elements by orthonormalize, then the basis stack
+        # A in check_minimal's eigensolve, which the certificate reuses; a
+        # builder's basis is filled from its support and needs no pass
+        assert self.run(capsys, count, ["check", "--matrix", minimal, "--algebra", "diag"]) == 1
+        assert self.run(capsys, count, ["check", "--matrix", one_sided, "--algebra", "diag"]) == 1
+        # three custom elements by orthonormalize, then the basis stack, then A
         assert self.run(capsys, count, ["check", "--matrix", minimal,
                                         "--algebra", f"custom:{alg}"]) == 5
-        # the basis, A in AffineFamily, and the eigensolves of A(x) and of the
+        # A in AffineFamily, and the eigensolves of A(x) and of the
         # compressed direction
         assert self.run(capsys, count, ["dirderiv", "--matrix", minimal, "--algebra", "diag",
-                                        "--w", "1,0,0"]) == 4
-        # the basis, and R in the eigensolve that also gives ||R||
+                                        "--w", "1,0,0"]) == 3
+        # R in the eigensolve that also gives ||R||
         v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
         w = write_frame(tmp_path / "w.json", [[-0.5, -0.5, 0.5, 0.5]])
         pv = np.full((4, 4), 0.25)
@@ -452,7 +476,7 @@ class TestValidationCounts:
         rest = write_matrix(tmp_path / "rest.json", 0.5 * (np.eye(4) - pv - qw))
         assert self.run(capsys, count, ["construct", "--v-frame", v, "--w-frame", w,
                                         "--lam", "1.0", "--rest", rest,
-                                        "--algebra", "block:2d,2f"]) == 2
+                                        "--algebra", "block:2d,2f"]) == 1
 
 
 class TestUnreadFlags:

@@ -40,7 +40,7 @@ from bminimal.minimality import (
 from bminimal.hermitian import _fix_phases, abs_hermitian, as_hermitian, eig_hermitian
 from bminimal.moment import Subspace
 from oracles import rand_hermitian
-from suites import constructed_minimal_3x3, grid_agreement_suite
+from suites import SCALES, constructed_minimal_3x3, grid_agreement_suite
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -225,17 +225,18 @@ class TestCheckMinimal:
         with pytest.raises(ValueError, match="does not match"):
             check_minimal(M1, build_pauli_diagonal(2))
 
-    def test_one_cluster_spectrum_undecided(self):
-        # ||A|| is below the clustering tolerance, so the two sides of the
-        # spectrum share one frame and neither answer can be trusted
-        for a in (1e-10 * M1, 1e-10 * np.diag([1.0, -1.0])):
-            report = check_minimal(a, build_diagonal(a.shape[0]))
-            assert report.verdict == UNDECIDED
-            assert report.reason == REASON_NORM
-            assert report.norm == pytest.approx(1e-10, rel=1e-12)
-            with pytest.raises(NormNotTwoSided) as err:
-                extremal_eigenspaces(a)
-            assert err.value.near
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("a, verdict", [(M1, MINIMAL), (np.diag([1.0, -1.0]), NOT_MINIMAL)],
+                             ids=["M1", "diag"])
+    def test_scale_covariant(self, a, verdict, c):
+        # A is minimal iff cA is: the cluster tolerance is relative to ||A||,
+        # so a small norm splits its spectrum as a unit one does
+        basis = build_diagonal(a.shape[0])
+        report = check_minimal(c * a, basis)
+        assert report.verdict == verdict
+        assert report.norm == pytest.approx(c, rel=1e-12)
+        if verdict == MINIMAL:
+            assert validate_certificate(c * a, report.certificate.x, basis, 1e-6)
 
     def test_requires_unital(self):
         e1 = np.zeros((3, 3))
@@ -419,6 +420,12 @@ class TestSupportPair:
         v_inside = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
         with pytest.raises(NotOrthogonal):
             is_support_pair(s, v_inside, build_diagonal(3))
+
+    def test_rejects_frames_of_different_sizes(self):
+        v = Subspace(np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex))
+        w = Subspace(np.array([[0.0], [1.0], [0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="V has 4 rows, W has 3"):
+            is_support_pair(v, w, build_diagonal(4))
 
     def test_rejects_non_unital(self):
         e1 = np.zeros((2, 2))

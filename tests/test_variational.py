@@ -103,6 +103,14 @@ class TestSubdiffLambdaMax:
         view = subdiff_lambda_max(fam, [0.0, 0.0])
         assert view.support([3.0, -1.0]) == pytest.approx(3.0)  # max(w1, w2)
 
+    def test_zero_matrix_full_simplex(self):
+        # A(x) = 0: the cluster tolerance stays positive at norm 0, so the
+        # whole spectrum is the top cluster and the moment is the simplex
+        fam = AffineFamily(np.zeros((3, 3)), build_diagonal(3))
+        view = subdiff_lambda_max(fam, np.zeros(3))
+        assert view.support([1.0, 0.0, -2.0]) == pytest.approx(1.0)
+        assert view.support([-1.0, -3.0, -2.0]) == pytest.approx(-1.0)
+
     def test_offdiagonal_singleton(self):
         view = subdiff_lambda_max(fam_x(), [0.0, 0.0])
         # eigenvector (1,1)/sqrt(2): gradient (1/2, 1/2)

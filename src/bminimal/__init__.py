@@ -40,7 +40,6 @@ from .hermitian import (
     cluster_eigenvalues,
     eig_hermitian,
     min_eigpair,
-    spectral_norm,
 )
 from .minimality import (
     Certificate,

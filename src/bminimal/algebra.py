@@ -15,14 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptySpan, InvalidPattern, SpanMismatch
-from .hermitian import _as_hermitian_stack, as_hermitian, frobenius
-
-ORTHONORMALITY_TOL = 1e-10
-UNIT_TOL = 1e-10
-_CLOSURE_TOL = 1e-10
-_GS_DROP_TOL = 1e-10
-_IMAG_RESIDUE_TOL = 1e-12
-_SPAN_TOL = 1e-8
+from .hermitian import INPUT_TOL, STRUCTURE_TOL, _as_hermitian_stack, as_hermitian, frobenius
 
 
 @dataclass(frozen=True, init=False)
@@ -54,7 +47,7 @@ class SubalgebraBasis:
         table = flat[:, nonzero]
         # tr(B_a B_b) = sum_ij B_a[i, j] conj(B_b[i, j]) for Hermitian B_b.
         gram = np.real(table @ table.conj().T)
-        if np.max(np.abs(gram - np.eye(t))) > ORTHONORMALITY_TOL:
+        if np.max(np.abs(gram - np.eye(t))) > STRUCTURE_TOL:
             raise ValueError("basis elements are not orthonormal under the trace")
         self._fill(label, n, divmod(nonzero, n), table)
 
@@ -217,21 +210,27 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
     # Row b of ``factors`` is the diagonal of I (b = 0) or Z (b = 1).
     factors = np.array([[1.0, 1.0], [1.0, -1.0]])
     signs = np.ones((1, 1))
+    table = np.empty((n, n), dtype=complex)
     for j in range(1, q + 1):
         # Tensor factor j is picked by bit j-1 of k (the row block b) and
-        # is the innermost Kronecker factor so far of every row.
+        # is the innermost Kronecker factor so far of every row.  The last,
+        # scaled, goes straight into the complex table: no float copy of it.
         m = 2 ** (j - 1)
-        signs = (factors[:, None, None, :] * signs[None, :, :, None]).reshape(2 * m, 2 * m)
+        if j < q:
+            signs = (factors[:, None, None, :] * signs[None, :, :, None]).reshape(2 * m, 2 * m)
+        else:
+            np.multiply(factors[:, None, None, :] / np.sqrt(n), signs[None, :, :, None],
+                        out=table.reshape(2, m, m, 2))
     idx = np.arange(n)
-    table = (signs / np.sqrt(n)).astype(complex)
     return SubalgebraBasis._trusted("pauli-diag", n, (idx, idx), table)
 
 
 def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
     """Gram-Schmidt a list of Hermitian matrices under <X, Y> = tr(XY).
 
-    Inputs are normalized first; candidates whose residual after removing
-    existing components falls below 1e-10 are dropped as dependent.
+    Inputs are normalized first, so only an exactly zero one is dropped for
+    its size; a residual after removing existing components of at most
+    STRUCTURE_TOL is dropped as dependent.
     """
     if not raw:
         raise EmptySpan("no matrices supplied")
@@ -239,13 +238,13 @@ def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
     for cand in raw:
         mat = as_hermitian(cand)
         norm = frobenius(mat)
-        if norm < _GS_DROP_TOL:
+        if norm == 0.0:
             continue
         mat = mat / norm
         for prev in kept:
             mat = mat - np.real(np.einsum("ij,ji->", prev, mat)) * prev
         residual = frobenius(mat)
-        if residual < _GS_DROP_TOL:
+        if residual <= STRUCTURE_TOL:
             continue
         kept.append(mat / residual)
     if not kept:
@@ -256,32 +255,32 @@ def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
 def compress(rho, basis: SubalgebraBasis) -> np.ndarray:
     """Coordinates (tr(rho B_1), ..., tr(rho B_t)) of rho against the basis.
 
-    For Hermitian rho the traces are real; imaginary residue above 1e-12
-    (relative to the Frobenius norm) signals a broken input and raises.
+    For Hermitian rho the traces are real; imaginary residue above INPUT_TOL
+    times the Frobenius norm of rho signals a broken input and raises.
     """
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (basis.n, basis.n):
         raise ValueError(f"shape {mat.shape} does not match basis ambient n = {basis.n}")
     coords = basis.coords(mat)
     imag = float(np.max(np.abs(coords.imag))) if coords.size else 0.0
-    if imag > _IMAG_RESIDUE_TOL * max(1.0, frobenius(mat)):
+    if imag > INPUT_TOL * frobenius(mat):
         raise ValueError(f"coordinates have imaginary residue {imag:.3e}; input not Hermitian?")
     return coords.real.copy()
 
 
 def contains_identity(basis: SubalgebraBasis) -> bool:
-    """True when I_n lies in the real span of the basis, within UNIT_TOL * sqrt(n)."""
-    return basis._identity_residual <= UNIT_TOL * np.sqrt(basis.n)
+    """True when I_n lies in the real span of the basis, within STRUCTURE_TOL * sqrt(n)."""
+    return basis._identity_residual <= STRUCTURE_TOL * np.sqrt(basis.n)
 
 
 def verify_closed(basis: SubalgebraBasis) -> bool:
-    """Check closure under products: every B_i B_j stays in the complex span (_CLOSURE_TOL)."""
+    """Check closure under products: every B_i B_j stays in the complex span (STRUCTURE_TOL)."""
     elems = basis.elements
     for i in range(basis.dim):
         for j in range(basis.dim):
             prod = elems[i] @ elems[j]
             residual = frobenius(prod - basis.combine(basis.coords(prod)))
-            if residual > _CLOSURE_TOL:
+            if residual > STRUCTURE_TOL:
                 return False
     return True
 
@@ -290,7 +289,8 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
     """Orthogonal t x t matrix C with C[k, i] = tr(to_k from_i).
 
     Maps coordinates taken in ``from_basis`` to coordinates in ``to_basis``.
-    Raises SpanMismatch when the two bases do not span the same algebra.
+    Raises SpanMismatch when the two bases do not span the same algebra
+    (a residual above STRUCTURE_TOL).
     """
     if from_basis.n != to_basis.n:
         raise SpanMismatch("ambient dimensions differ")
@@ -304,7 +304,7 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
     ):
         recon = np.einsum("kl,kij->lij", m, b)
         residual = float(max(frobenius(a[i] - recon[i]) for i in range(len(a))))
-        if residual > _SPAN_TOL:
+        if residual > STRUCTURE_TOL:
             raise SpanMismatch(
                 f"{direction}-basis element leaves the common span (residual {residual:.3e})"
             )
@@ -312,6 +312,6 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
 
 
 def in_trace_orthocomplement(x, basis: SubalgebraBasis, tol: float) -> bool:
-    """True iff max_k |tr(X B_k)| <= tol * max(1, ||X||_F)."""
+    """True iff max_k |tr(X B_k)| <= tol * ||X||_F, so X and cX agree."""
     mat = np.asarray(x, dtype=complex)
-    return float(np.max(np.abs(basis.coords(mat)))) <= tol * max(1.0, frobenius(mat))
+    return float(np.max(np.abs(basis.coords(mat)))) <= tol * frobenius(mat)

@@ -12,9 +12,12 @@ import numpy as np
 
 from .errors import NonConvergence
 
-# Largest admissible relative asymmetry on construction; below it the input
-# is silently repaired by averaging with its adjoint.
-ASYMMETRY_TOL = 1e-12
+# The package's three tolerances.  Every check scales one of them by what it
+# judges, with no floor at 1, so A and cA (c > 0) get the same answer.
+INPUT_TOL = 1e-12      # input rounding, relative to the operand's own scale
+STRUCTURE_TOL = 1e-10  # unit-scale structure: frames, bases and their residuals
+CLUSTER_TOL = 1e-8     # eigenvalue clusters, relative to ||A||
+_SMALLEST_TOL = float(np.finfo(float).smallest_subnormal)  # floor for A = 0
 
 _OFF_DIAG_TOL = 1e-12  # relative to ||A||_F
 _MAX_SWEEPS = 100
@@ -23,8 +26,8 @@ _MAX_SWEEPS = 100
 def as_hermitian(a) -> np.ndarray:
     """Validate and symmetrize a square complex array.
 
-    Rejects NaN/Inf and asymmetry above ASYMMETRY_TOL (relative to the
-    largest entry), then returns the exactly Hermitian average (A + A*)/2.
+    Rejects NaN/Inf and asymmetry above INPUT_TOL times the largest entry,
+    then returns the exactly Hermitian average (A + A*)/2.
     """
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -37,21 +40,21 @@ def as_hermitian(a) -> np.ndarray:
 def _as_hermitian_stack(arr: np.ndarray) -> np.ndarray:
     """The rule of ``as_hermitian`` for every matrix of a nonempty complex
     (t, n, n) stack, checked in one pass: NaN/Inf anywhere fails, then the
-    first element whose asymmetry exceeds ASYMMETRY_TOL times its own scale."""
+    first element whose asymmetry exceeds INPUT_TOL times its own scale."""
     # Every eigensolve passes through here with t = 1, so the pass keeps to
     # few numpy calls: array methods, and per-element maxima over flat rows.
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     adj = arr.conj().swapaxes(-1, -2)
     rows = (arr.shape[0], -1)
-    scale = np.maximum(1.0, np.abs(arr).reshape(rows).max(axis=1))
+    scale = np.abs(arr).reshape(rows).max(axis=1)
     asym = np.abs(arr - adj).reshape(rows).max(axis=1)
-    bad = asym > ASYMMETRY_TOL * scale
+    bad = asym > INPUT_TOL * scale
     if bad.any():
         k = int(bad.argmax())
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym[k]:.3e} exceeds "
-            f"{ASYMMETRY_TOL:.1e} * {scale[k]:.3e}"
+            f"{INPUT_TOL:.1e} * {scale[k]:.3e}"
         )
     return (arr + adj) / 2
 
@@ -154,6 +157,12 @@ def eig_hermitian(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, vectors=q, matrix=a0)
 
 
+def default_cluster_tol(norm: float) -> float:
+    """CLUSTER_TOL relative to the norm, floored at the smallest positive
+    float: cluster_eigenvalues needs tau > 0, and A(x) = 0 has one cluster."""
+    return max(CLUSTER_TOL * norm, _SMALLEST_TOL)
+
+
 def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[np.ndarray]:
     """Eigenframes of the greedy ascending merge of eigenvalues whose
     consecutive gap is <= tau, in ascending order.
@@ -169,11 +178,6 @@ def cluster_eigenvalues(decomp: EigenDecomposition, tau: float) -> list[np.ndarr
     values = decomp.eigenvalues
     starts = [0, *(np.flatnonzero(np.diff(values) > tau) + 1).tolist(), len(values)]
     return [decomp.vectors[:, lo:hi].copy() for lo, hi in zip(starts[:-1], starts[1:])]
-
-
-def spectral_norm(a) -> float:
-    """Operator norm of a Hermitian matrix: max |eigenvalue|."""
-    return eig_hermitian(a).norm
 
 
 def abs_hermitian(x) -> np.ndarray:

@@ -24,16 +24,15 @@ from .errors import (
     ZeroMatrix,
 )
 from .hermitian import (
+    STRUCTURE_TOL,
     EigenDecomposition,
     abs_hermitian,
     cluster_eigenvalues,
+    default_cluster_tol,
     eig_hermitian,
     frobenius,
 )
 from .moment import FWConfig, Subspace, decide, intersects, moment_distance
-
-ORTHOGONALITY_TOL = 1e-8
-_SMALLEST_TOL = float(np.finfo(float).smallest_subnormal)
 
 MINIMAL = "minimal"
 NOT_MINIMAL = "not_minimal"
@@ -43,13 +42,6 @@ REASON_NORM = "norm_not_two_sided"
 REASON_DISJOINT = "moments_disjoint"
 REASON_CERTIFICATE = "certificate_found"
 REASON_GAP = "gap_undecided"
-
-
-def default_cluster_tol(norm: float) -> float:
-    """1e-8 relative to the norm, so A and cA cluster alike; floored at the
-    smallest positive float, since cluster_eigenvalues needs tau > 0 and
-    A(x) = 0 still has its one cluster."""
-    return max(1e-8 * norm, _SMALLEST_TOL)
 
 
 @dataclass(frozen=True)
@@ -168,9 +160,9 @@ def build_certificate(
 
 
 def _require_orthogonal(v: np.ndarray, w: np.ndarray) -> None:
-    """Raise NotOrthogonal when ||V* W||_F of two frames exceeds ORTHOGONALITY_TOL."""
+    """Raise NotOrthogonal when ||V* W||_F of two frames exceeds STRUCTURE_TOL."""
     overlap = frobenius(v.conj().T @ w)
-    if overlap > ORTHOGONALITY_TOL:
+    if overlap > STRUCTURE_TOL:
         raise NotOrthogonal(f"subspaces overlap: ||V* W||_F = {overlap:.3e}")
 
 
@@ -183,20 +175,18 @@ def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
-    """Check a claimed certificate: Hermitian, nonzero, trace-orthogonal to
-    the basis, and A X = ||A|| |X| within tol."""
+    """Check a claimed certificate: nonzero, Hermitian and trace-orthogonal
+    to the basis within tol * ||X||_F, and A X = ||A|| |X| within
+    tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X)."""
     dec = eig_hermitian(a)
     cand = np.asarray(x, dtype=complex)
     norm_x = frobenius(cand)
-    if frobenius(cand - cand.conj().T) > tol * max(1.0, norm_x):
-        return False
-    if norm_x <= tol:
-        return False
-    if not in_trace_orthocomplement(cand, basis, tol):
+    if (norm_x == 0.0 or frobenius(cand - cand.conj().T) > tol * norm_x
+            or not in_trace_orthocomplement(cand, basis, tol)):
         return False
     cand = (cand + cand.conj().T) / 2
     residual = frobenius(dec.matrix @ cand - dec.norm * abs_hermitian(cand))
-    return residual <= tol * max(1.0, dec.norm * norm_x)
+    return residual <= tol * dec.norm * norm_x
 
 
 def check_minimal(
@@ -276,7 +266,8 @@ def construct_minimal(
     """Build the minimal matrix lam (P_V - P_W) + R from a support pair.
 
     R may be None for no perturbation; otherwise it must be Hermitian with
-    ||R|| <= lam and vanish on V + W.
+    ||R|| <= lam + default_cluster_tol(lam) and vanish on V + W,
+    ||R (P_V + P_W)||_F <= STRUCTURE_TOL * lam: both relative to lam.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lam must be positive and finite")
@@ -287,10 +278,10 @@ def construct_minimal(
     else:
         dec = eig_hermitian(r)
         rest, r_norm = dec.matrix, dec.norm
-        if r_norm > lam + 1e-10:
+        if r_norm > lam + default_cluster_tol(lam):
             raise PerturbationTooLarge(f"||R|| = {r_norm:.6g} exceeds lam = {lam:.6g}")
         overlap = frobenius(rest @ (pv + pw))
-        if overlap > 1e-10:
+        if overlap > STRUCTURE_TOL * lam:
             raise PerturbationOverlapsSupport(
                 f"||R (P_V + P_W)||_F = {overlap:.3e} is not negligible"
             )

@@ -20,10 +20,7 @@ import numpy as np
 
 from .algebra import SubalgebraBasis
 from .errors import Undecided
-from .hermitian import _bottom_eigpair, eig_hermitian, frobenius
-
-FRAME_TOL = 1e-10
-_SPAN_RANK_TOL = 1e-10
+from .hermitian import STRUCTURE_TOL, _bottom_eigpair, eig_hermitian, frobenius
 
 # Why a Frank-Wolfe solve stopped (FWResult.stop_reason).
 STOP_GAP_MET = "gap_met"      # the gap fell to cfg.gap_tol
@@ -45,7 +42,7 @@ class Subspace:
         if not np.all(np.isfinite(q.real)) or not np.all(np.isfinite(q.imag)):
             raise ValueError("frame entries must be finite")
         gram = q.conj().T @ q
-        if frobenius(gram - np.eye(q.shape[1])) > FRAME_TOL:
+        if frobenius(gram - np.eye(q.shape[1])) > STRUCTURE_TOL:
             raise ValueError("frame columns are not orthonormal")
         object.__setattr__(self, "frame", q.copy())
 
@@ -67,12 +64,13 @@ class Subspace:
 
     @classmethod
     def from_span(cls, vectors) -> "Subspace":
-        """Orthonormalize spanning columns; rejects rank-deficient input (_SPAN_RANK_TOL)."""
+        """Orthonormalize spanning columns; rejects them as rank-deficient when
+        an R diagonal entry is at most STRUCTURE_TOL times the largest entry."""
         v = np.atleast_2d(np.asarray(vectors, dtype=complex))
         if v.shape[0] < v.shape[1]:
             raise ValueError("more columns than ambient dimension")
         q, r = np.linalg.qr(v)
-        small = np.abs(np.diag(r)) < _SPAN_RANK_TOL * max(1.0, float(np.max(np.abs(v))))
+        small = np.abs(np.diag(r)) <= STRUCTURE_TOL * float(np.max(np.abs(v)))
         if np.any(small):
             raise ValueError("spanning columns are linearly dependent")
         return cls(frame=q)
@@ -231,9 +229,6 @@ def moment_distance(
     fam2 = compress_family(s2, basis)
     flat1 = fam1.mats.reshape(basis.dim, -1)
     flat2 = fam2.mats.reshape(basis.dim, -1)
-    # conj(M_k) flattened: the moment of a vertex vv* is Re(conj_k . vec(vv*))
-    conj1 = flat1.conj()
-    conj2 = flat2.conj()
     r1 = np.eye(s1.r, dtype=complex) / s1.r
     r2 = np.eye(s2.r, dtype=complex) / s2.r
 
@@ -257,8 +252,9 @@ def moment_distance(
             break
         vert1 = v1[:, None] * v1.conj()
         vert2 = v2[:, None] * v2.conj()
-        # u = (a1 - phi1(R1)) - (a2 - phi2(R2)) with a = Re(v* M_k v)
-        u = (conj1 @ vert1.ravel()).real - (conj2 @ vert2.ravel()).real - d
+        # u = (a1 - phi1(R1)) - (a2 - phi2(R2)) with a = Re(v* M_k v), the
+        # moment of the vertex vv*: Re(M_k . conj(vec(vv*)))
+        u = (flat1 @ vert1.conj().ravel()).real - (flat2 @ vert2.conj().ravel()).real - d
         denom = float(u @ u)
         if denom <= 0.0:
             stop = STOP_ZERO_STEP

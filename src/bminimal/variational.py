@@ -19,16 +19,14 @@ import numpy as np
 
 from .algebra import SubalgebraBasis, compress
 from .errors import NormNotTwoSided
-from .hermitian import EigenDecomposition, as_hermitian, cluster_eigenvalues, eig_hermitian
-from .minimality import (
-    MINIMAL,
-    MinimalityReport,
-    _decompose,
-    _verdict,
-    check_minimal,
+from .hermitian import (
+    EigenDecomposition,
+    as_hermitian,
+    cluster_eigenvalues,
     default_cluster_tol,
-    spectral_split,
+    eig_hermitian,
 )
+from .minimality import MINIMAL, MinimalityReport, _decompose, _verdict, check_minimal, spectral_split
 from .moment import (
     CompressedFamily,
     FWConfig,
@@ -101,8 +99,8 @@ class SubdifferentialView:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget for the subgradient best-approximation loop.  ``fw.dist_tol``
-    also settles optimality outright: a norm at or below it is optimal."""
+    """Budget for the subgradient best-approximation loop and the Frank-Wolfe
+    settings of its optimality test.  ``fw.dist_tol`` is in moment space."""
 
     max_iter: int = 2000
     fw: FWConfig = field(default_factory=FWConfig)
@@ -188,21 +186,22 @@ def is_minimal_variational(
 def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, EigenDecomposition]:
     """||A(x)||, one subgradient of it, and the decomposition of A(x).
 
-    The subgradient is the moment coordinate vector of the extreme
-    eigenvector on the active side (negated on the bottom side); ties go to
-    the top side.
+    The subgradient is the mean moment of the extreme cluster's eigenvectors
+    on the active side (negated on the bottom side; ties go to the top): the
+    moment of its projector over its rank, whichever basis rounding picks.
     """
     dec = eig_hermitian(fam.evaluate(x))
     top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
-    v = dec.vectors[:, -1 if top else 0]
-    g = fam.basis.coords(np.outer(v, v.conj())).real
+    frame = _extreme_space(dec, top).frame
+    g = np.mean([fam.basis.coords(np.outer(v, v.conj())).real for v in frame.T], axis=0)
     return dec.norm, (g if top else -g), dec
 
 
-def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, cfg: SolverConfig) -> bool:
-    """0 in d||A(x)||, given the decomposition of A(x): the norm is below
-    cfg.fw.dist_tol, or the check_minimal pipeline says minimal."""
-    if dec.norm <= cfg.fw.dist_tol:
+def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, a0_norm: float,
+                       cfg: SolverConfig) -> bool:
+    """0 in d||A(x)||, given the decomposition of A(x): its norm is at most
+    default_cluster_tol(||A0||), or the check_minimal pipeline says minimal."""
+    if dec.norm <= default_cluster_tol(a0_norm):
         return True
     return _verdict(dec, fam.basis, cfg.fw).verdict == MINIMAL
 
@@ -219,8 +218,8 @@ def best_approximation(
     iteration starts from the better of the two.  The best iterate is
     tracked throughout; convergence is declared when the check_minimal
     pipeline certifies the optimality condition 0 in d||A(x)|| at an
-    improved iterate (or the norm itself falls to cfg.fw.dist_tol), otherwise
-    the cap is reported.
+    improved iterate (or its norm falls to default_cluster_tol(||A0||)),
+    otherwise the cap is reported.  Steps scale with the start norm.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (fam.t,):
@@ -234,15 +233,16 @@ def best_approximation(
         if not any(np.array_equal(cand, prev) for prev in candidates):
             candidates.append(cand)
     evaluated = [_norm_and_subgradient(fam, cand) for cand in candidates]
+    a0_norm = next(f for cand, (f, _, _) in zip(candidates, evaluated) if not cand.any())
     pick = int(np.argmin([f for f, _, _ in evaluated]))
     x = candidates[pick]
     best_f, g, dec = evaluated[pick]
 
     best_x = x.copy()
     norms = [best_f]
-    converged = _certified_optimal(fam, dec, cfg)
+    converged = _certified_optimal(fam, dec, a0_norm, cfg)
     if not converged:
-        c = max(best_f, 1.0)  # step scale ||A(x_start)||
+        c = best_f  # step scale ||A(x_start)||
         for k in range(1, cfg.max_iter + 1):
             gnorm = float(np.linalg.norm(g))
             if gnorm == 0.0:
@@ -253,7 +253,7 @@ def best_approximation(
             if f < best_f:
                 best_f = f
                 best_x = x.copy()
-                if _certified_optimal(fam, dec, cfg):
+                if _certified_optimal(fam, dec, a0_norm, cfg):
                     converged = True
                     break
     trace = np.column_stack((np.arange(len(norms), dtype=float), norms))

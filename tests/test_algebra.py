@@ -21,6 +21,7 @@ from bminimal.algebra import (
 from bminimal.errors import EmptySpan, InvalidPattern, SpanMismatch
 from bminimal.hermitian import as_hermitian
 from oracles import rand_hermitian
+from suites import SCALES
 
 IV = 1 / np.sqrt(2)
 
@@ -143,6 +144,15 @@ class TestOrthonormalize:
         with pytest.raises(EmptySpan):
             orthonormalize([])
 
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_invariant(self, c):
+        # only an exactly zero input is dropped for its size
+        assert orthonormalize([c * np.eye(2)]).dim == 1
+        basis = orthonormalize([c * np.eye(2), 2 * c * np.eye(2), c * np.diag([1.0, -1.0])])
+        ref = orthonormalize([np.eye(2), np.diag([1.0, -1.0])])
+        assert basis.dim == 2
+        assert np.allclose(basis.elements, ref.elements, rtol=0, atol=1e-15)
+
 
 class TestVerifyClosed:
     def test_diagonal_closed(self):
@@ -205,6 +215,15 @@ class TestCompress:
         with pytest.raises(ValueError, match="imaginary"):
             compress(nilpotent, build_block([(2, "full")]))
 
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_covariant(self, c):
+        # linear in rho, and the imaginary residue is judged against ||rho||_F
+        rho = rand_hermitian(np.random.default_rng(33), 4)
+        basis = build_block([(2, "diagonal"), (2, "full")])
+        assert np.allclose(compress(c * rho, basis) / c, compress(rho, basis), rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="imaginary"):
+            compress(c * np.array([[0.0, 1.0], [0.0, 0.0]]), build_block([(2, "full")]))
+
 
 class TestChangeOfBasis:
     def test_rotation_45_degrees(self):
@@ -260,6 +279,15 @@ class TestTraceOrthocomplement:
     def test_swap_three(self):
         x = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])
         assert in_trace_orthocomplement(x, build_diagonal(3), 1e-10)
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_invariant(self, c):
+        # coordinates are judged against ||X||_F: a diagonal part of 1e-6 of
+        # it fails tol 1e-8 at every scale
+        swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])
+        basis = build_diagonal(3)
+        assert in_trace_orthocomplement(c * swap, basis, 1e-8)
+        assert not in_trace_orthocomplement(c * (swap + np.diag([1e-6, 0.0, 0.0])), basis, 1e-8)
 
 
 class TestUnit:
@@ -356,6 +384,16 @@ class TestSupportStorage:
             tracemalloc.stop()
         assert basis.n == 128
         assert peak < 4 * 2**20
+
+    def test_pauli_peak_within_half_a_table(self):
+        # the float signs are not held beside the complex table
+        tracemalloc.start()
+        try:
+            basis = build_pauli_diagonal(9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * basis.table.nbytes
 
     @pytest.mark.parametrize("build, arg, size", [
         (build_diagonal, 5, 5),

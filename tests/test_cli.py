@@ -244,6 +244,24 @@ class TestConstructAndCheck:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("c", SCALES)
+    def test_rest_judged_against_lam(self, tmp_path, capsys, c):
+        # ||R|| = lam builds c M1 at every scale; ||R|| = 1.5 lam is refused
+        # with one error line, also at lam = 1e-12
+        v = write_frame(tmp_path / "v.json", [[1.0, 1.0, 0.0]])
+        w = write_frame(tmp_path / "w.json", [[1.0, -1.0, 0.0]])
+        args = ["construct", "--v-frame", v, "--w-frame", w, "--lam", repr(c), "--algebra", "diag"]
+        fits = write_matrix(tmp_path / "fits.json", np.diag([0.0, 0.0, c]))
+        assert main([*args, "--rest", fits]) == 0
+        built = bio.matrix_from_doc(json.loads(capsys.readouterr().out))
+        assert np.allclose(built / c, M1, rtol=0, atol=1e-15)
+        large = write_matrix(tmp_path / "large.json", np.diag([0.0, 0.0, 1.5 * c]))
+        assert main([*args, "--rest", large]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestBestApproxAndDirDeriv:
     def test_best_approx(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "x.json", np.array([[0.0, 1.0], [1.0, 0.0]]))

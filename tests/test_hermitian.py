@@ -9,15 +9,17 @@ from bminimal.hermitian import (
     cluster_eigenvalues,
     eig_hermitian,
     min_eigpair,
-    spectral_norm,
 )
 from bminimal.minimality import construct_minimal, validate_certificate
 from bminimal.moment import Subspace
 from oracles import rand_hermitian
+from suites import SCALES
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 X_SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+# The spectral norm through the one eigensolve, as every route reads it.
+NORM = pytest.param(lambda a: eig_hermitian(a).norm, id="spectral_norm")
 
 
 class TestAsHermitian:
@@ -37,6 +39,15 @@ class TestAsHermitian:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             as_hermitian(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_invariant(self, c):
+        # asymmetry is judged against the largest entry: 1e-7 of it is
+        # refused and 1e-14 of it repaired, whatever the scale
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian(c * np.array([[0.0, 1e-6], [1e-6 + 1e-13, 0.0]]))
+        a = np.array([[1.0, 1.0 + 1e-14j], [1.0 - 1e-14j, 2.0]])
+        assert np.allclose(as_hermitian(c * a) / c, as_hermitian(a), rtol=0, atol=1e-15)
 
 
 class TestEig:
@@ -168,7 +179,7 @@ class TestValidatesOnce:
         monkeypatch.setattr(hermitian, "_as_hermitian_stack", counting)
         return calls
 
-    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
+    @pytest.mark.parametrize("fn", [NORM, abs_hermitian])
     def test_one_pass(self, passes, fn):
         # eig_hermitian validates; no pre-pass in front of it
         fn(M1)
@@ -189,7 +200,7 @@ class TestValidatesOnce:
         call(basis)
         assert len(passes) == expected
 
-    @pytest.mark.parametrize("fn", [spectral_norm, abs_hermitian])
+    @pytest.mark.parametrize("fn", [NORM, abs_hermitian])
     def test_rejects_invalid(self, fn):
         with pytest.raises(ValueError):
             fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -199,20 +210,20 @@ class TestValidatesOnce:
 
 class TestSpectralNorm:
     def test_m1(self):
-        assert spectral_norm(M1) == pytest.approx(1.0, abs=1e-12)
+        assert eig_hermitian(M1).norm == pytest.approx(1.0, abs=1e-12)
 
     def test_zero(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert eig_hermitian(np.zeros((4, 4))).norm == 0.0
 
     def test_negative_side(self):
-        assert spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
+        assert eig_hermitian(np.diag([-3.0, 2.0])).norm == pytest.approx(3.0)
 
     def test_matches_eigenvalues(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             a = rand_hermitian(rng, 5)
             w = eig_hermitian(a).eigenvalues
-            assert spectral_norm(a) == max(abs(w[0]), abs(w[-1]))
+            assert eig_hermitian(a).norm == max(abs(w[0]), abs(w[-1]))
 
 
 class TestAbsHermitian:

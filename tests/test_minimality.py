@@ -399,6 +399,20 @@ class TestValidateCertificate:
         bad = np.diag([0.0, 1.0, -1.0])  # trace-orthogonal? no: diagonal nonzero
         assert not validate_certificate(M1, bad, build_diagonal(3), 1e-6)
 
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_invariant(self, c):
+        # A and X scaled independently: each check is relative to ||A|| and
+        # ||X||_F, so every (cA, dX) gets the answer of (A, X)
+        basis = build_diagonal(3)
+        off_equation = X_SWAP + 1e-4 * np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        asymmetric = X_SWAP + 1e-4 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        not_orthogonal = X_SWAP + 1e-4 * np.diag([1.0, 0.0, 0.0])
+        for d in SCALES:
+            assert validate_certificate(c * M1, d * X_SWAP, basis, 1e-6)
+            for bad in (off_equation, asymmetric, not_orthogonal):
+                assert not validate_certificate(c * M1, d * bad, basis, 1e-6)
+        assert not validate_certificate(c * M1, np.zeros((3, 3)), basis, 1e-6)
+
 
 class TestSupportPair:
     def test_segment_meets_point(self):
@@ -481,6 +495,24 @@ class TestConstructMinimal:
             construct_minimal(v, w, 1.0, 2.0 * rest, block_basis())
         with pytest.raises(PerturbationOverlapsSupport):
             construct_minimal(v, w, 1.0, 0.5 * p, block_basis())
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_scale_covariant(self, c):
+        # (c lam, c R) builds c times the matrix of (lam, R), and both
+        # refusals are relative to lam: ||R|| = 1.5 lam is too large at
+        # lam = 1e-12 as at lam = 1
+        v = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
+        w = Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex))
+        basis = build_diagonal(3)
+        e3 = np.diag([0.0, 0.0, 1.0])
+        assert np.allclose(construct_minimal(v, w, c, c * e3, basis) / c, M1, rtol=0, atol=1e-15)
+        ref = construct_minimal(v, w, 1.0, 0.5 * e3, basis)
+        m = construct_minimal(v, w, c, 0.5 * c * e3, basis)
+        assert np.allclose(m / c, ref, rtol=0, atol=1e-15)
+        with pytest.raises(PerturbationTooLarge):
+            construct_minimal(v, w, c, 1.5 * c * e3, basis)
+        with pytest.raises(PerturbationOverlapsSupport):
+            construct_minimal(v, w, c, 0.5 * c * (v.frame @ v.frame.conj().T), basis)
 
     def test_random_support_pairs_yield_minimal(self):
         basis = build_diagonal(3)

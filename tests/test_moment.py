@@ -23,7 +23,7 @@ from bminimal.moment import (
     support_function,
 )
 from oracles import bloch_grid, moment_cloud
-from suites import grid_agreement_suite
+from suites import SCALES, grid_agreement_suite
 
 IV = 1 / np.sqrt(2)
 
@@ -55,6 +55,15 @@ class TestSubspace:
     def test_from_span_rejects_dependent(self):
         with pytest.raises(ValueError, match="dependent"):
             Subspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_from_span_scale_invariant(self, c):
+        # the rank is judged against the largest entry: cV spans what V spans
+        v = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        s = Subspace.from_span(c * v)
+        assert np.allclose(s.frame, Subspace.from_span(v).frame, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="dependent"):
+            Subspace.from_span(c * np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
 class TestCompressFamily:

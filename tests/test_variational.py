@@ -4,7 +4,7 @@ import pytest
 from bminimal import minimality, variational
 from bminimal.algebra import build_diagonal, build_pauli_diagonal, orthonormalize
 from bminimal.errors import NonUnitalBasis, ZeroMatrix
-from bminimal.hermitian import eig_hermitian, spectral_norm
+from bminimal.hermitian import eig_hermitian
 from bminimal.minimality import (
     MINIMAL,
     NOT_MINIMAL,
@@ -25,7 +25,7 @@ from bminimal.variational import (
     subdiff_norm,
 )
 from oracles import rand_hermitian
-from suites import grid_agreement_suite
+from suites import SCALES, grid_agreement_suite, random_one_sided_3x3
 
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
@@ -38,10 +38,10 @@ def lam_max(fam, x):
     return float(eig_hermitian(fam.evaluate(x)).eigenvalues[-1])
 
 
-def certified(fam, result, cfg=SolverConfig()):
+def certified(fam, result):
     """What ``converged`` promises: check_minimal says minimal at x_star, or
-    the distance itself is below fw.dist_tol."""
-    return (result.dist <= cfg.fw.dist_tol
+    the distance itself is zero relative to A0."""
+    return (result.dist <= default_cluster_tol(eig_hermitian(fam.a0).norm)
             or check_minimal(fam.evaluate(result.x_star), fam.basis).verdict == MINIMAL)
 
 
@@ -60,12 +60,13 @@ class TestTwoSidedBoundary:
             a = np.array([[d / 2, 1.0], [1.0, d / 2]])
             fam = AffineFamily(a, basis)
             x = np.zeros(2)
-            assert default_cluster_tol(spectral_norm(a)) == pytest.approx(tau, rel=1e-7)
+            assert default_cluster_tol(eig_hermitian(a).norm) == pytest.approx(tau, rel=1e-7)
             assert check_minimal(a, basis).verdict == verdict
             assert is_minimal_variational(fam, x).verdict == verdict
             assert subdiff_norm(fam, x).kind == kind
             dec = eig_hermitian(fam.evaluate(x))
-            assert _certified_optimal(fam, dec, SolverConfig()) is optimal
+            # x = 0, so A(x) is A0 and its norm is ||A0||
+            assert _certified_optimal(fam, dec, dec.norm, SolverConfig()) is optimal
 
 
 class TestEvaluate:
@@ -200,7 +201,7 @@ class TestDirectionalDerivative:
             if gap < 1e-2:
                 continue
             direction = np.einsum("k,kij->ij", w, fam.basis.elements)
-            bound_c = 10.0 * spectral_norm(direction) ** 2 / gap
+            bound_c = 10.0 * eig_hermitian(direction).norm ** 2 / gap
             dd = directional_derivative(fam, x, w)
             for t in (1e-3, 1e-4):
                 lhs = lam_max(fam, x + t * w)
@@ -292,6 +293,19 @@ class TestBestApproximation:
         assert result.converged
         assert certified(fam, result)
 
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("a0", [np.ones((3, 3)) - np.eye(3), M1, random_one_sided_3x3(1000)],
+                             ids=["J3-I3", "M1", "one-sided"])
+    def test_scale_covariant(self, a0, c):
+        # steps are scaled by the start norm and A(x) = 0 is judged against
+        # ||A0||, so c A0 follows the path of A0 scaled by c
+        basis = build_diagonal(3)
+        cfg = SolverConfig(max_iter=25)
+        ref = best_approximation(AffineFamily(a0, basis), np.zeros(3), cfg)
+        res = best_approximation(AffineFamily(c * a0, basis), np.zeros(3), cfg)
+        assert res.converged == ref.converged
+        assert res.dist / c == pytest.approx(ref.dist, rel=1e-9)
+
     def test_one_decomposition_per_point(self, monkeypatch):
         real = variational.eig_hermitian
         calls = []
@@ -321,7 +335,6 @@ class TestBestApproximation:
 
     def test_never_below_grid_optimum(self):
         from oracles import grid_min_diag_norm
-        from suites import random_one_sided_3x3
 
         basis = build_diagonal(3)
         for seed in (1000, 1001):
@@ -342,7 +355,7 @@ class TestBestApproximation:
             fam = AffineFamily(a0, basis)
             result = best_approximation(fam, rng.standard_normal(4) * 3,
                                         SolverConfig(max_iter=20))
-            assert result.dist <= spectral_norm(a0) + 1e-12
+            assert result.dist <= eig_hermitian(a0).norm + 1e-12
 
     def test_trace_monotone_best(self):
         result = best_approximation(fam_x(), np.array([2.0, 2.0]),

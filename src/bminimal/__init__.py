@@ -39,7 +39,6 @@ from .hermitian import (
     as_hermitian,
     cluster_eigenvalues,
     eig_hermitian,
-    min_eigpair,
 )
 from .minimality import (
     Certificate,
@@ -48,7 +47,6 @@ from .minimality import (
     build_certificate,
     check_minimal,
     construct_minimal,
-    extremal_eigenspaces,
     is_support_pair,
     validate_certificate,
 )

@@ -29,15 +29,15 @@ class SubalgebraBasis:
     checks it is Hermitian and orthonormal under <X, Y> = tr(XY), and keeps
     only its support.  The basis is fixed from then on, so the distance of
     I_n from the span is computed at most once per instance and kept
-    (``contains_identity`` reads it).
+    (``contains_identity`` reads it).  ``n``, ``support`` and ``table`` are
+    all it holds: it does not record which builder made it.
     """
 
-    label: str
     n: int
     support: tuple[np.ndarray, np.ndarray]
     table: np.ndarray
 
-    def __init__(self, elements, label: str = "custom"):
+    def __init__(self, elements):
         elems = np.asarray(elements, dtype=complex)
         if elems.ndim != 3 or elems.shape[1] != elems.shape[2] or elems.shape[0] == 0:
             raise ValueError(f"expected a nonempty (t, n, n) stack, got {elems.shape}")
@@ -49,17 +49,17 @@ class SubalgebraBasis:
         gram = np.real(table @ table.conj().T)
         if np.max(np.abs(gram - np.eye(t))) > STRUCTURE_TOL:
             raise ValueError("basis elements are not orthonormal under the trace")
-        self._fill(label, n, divmod(nonzero, n), table)
+        self._fill(n, divmod(nonzero, n), table)
 
     @classmethod
-    def _trusted(cls, label: str, n: int, support, table: np.ndarray) -> "SubalgebraBasis":
+    def _trusted(cls, n: int, support, table: np.ndarray) -> "SubalgebraBasis":
         """A basis a builder filled itself, orthonormal by construction: no checks."""
         obj = object.__new__(cls)
-        obj._fill(label, n, support, table)
+        obj._fill(n, support, table)
         return obj
 
-    def _fill(self, label, n, support, table) -> None:
-        for name, value in (("label", label), ("n", n), ("support", support), ("table", table)):
+    def _fill(self, n, support, table) -> None:
+        for name, value in (("n", n), ("support", support), ("table", table)):
             object.__setattr__(self, name, value)
 
     @property
@@ -142,7 +142,7 @@ def build_diagonal(n: int) -> SubalgebraBasis:
     if n < 1:
         raise ValueError("n must be >= 1")
     idx = np.arange(n)
-    return SubalgebraBasis._trusted("diag", n, (idx, idx), np.eye(n, dtype=complex))
+    return SubalgebraBasis._trusted(n, (idx, idx), np.eye(n, dtype=complex))
 
 
 def build_block(pattern: list[tuple[int, str]], n: int | None = None) -> SubalgebraBasis:
@@ -192,9 +192,7 @@ def build_block(pattern: list[tuple[int, str]], n: int | None = None) -> Subalge
         table[first + np.arange(size), first + diag] = 1.0
         first += rows[-1].size
         offset += size
-    return SubalgebraBasis._trusted(
-        "block", total, (np.concatenate(rows), np.concatenate(cols)), table
-    )
+    return SubalgebraBasis._trusted(total, (np.concatenate(rows), np.concatenate(cols)), table)
 
 
 def build_pauli_diagonal(q: int) -> SubalgebraBasis:
@@ -222,15 +220,16 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
             np.multiply(factors[:, None, None, :] / np.sqrt(n), signs[None, :, :, None],
                         out=table.reshape(2, m, m, 2))
     idx = np.arange(n)
-    return SubalgebraBasis._trusted("pauli-diag", n, (idx, idx), table)
+    return SubalgebraBasis._trusted(n, (idx, idx), table)
 
 
-def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
+def orthonormalize(raw: list) -> SubalgebraBasis:
     """Gram-Schmidt a list of Hermitian matrices under <X, Y> = tr(XY).
 
     Inputs are normalized first, so only an exactly zero one is dropped for
     its size; a residual after removing existing components of at most
-    STRUCTURE_TOL is dropped as dependent.
+    STRUCTURE_TOL is dropped as dependent.  The kept elements become a
+    ``SubalgebraBasis`` through its checked constructor.
     """
     if not raw:
         raise EmptySpan("no matrices supplied")
@@ -249,7 +248,7 @@ def orthonormalize(raw: list, label: str = "custom") -> SubalgebraBasis:
         kept.append(mat / residual)
     if not kept:
         raise EmptySpan("all supplied matrices are dependent or zero")
-    return SubalgebraBasis(elements=np.stack(kept), label=label)
+    return SubalgebraBasis(elements=np.stack(kept))
 
 
 def compress(rho, basis: SubalgebraBasis) -> np.ndarray:

@@ -76,6 +76,7 @@ def matrix_from_doc(doc: dict[str, Any]) -> np.ndarray:
     return _pairs(doc["entries"], (n, n), "matrix document entries")
 
 
+# No package code calls this; it stays while perfbench/spans.py TRACED names it.
 def hermitian_from_doc(doc: dict[str, Any]) -> np.ndarray:
     return as_hermitian(matrix_from_doc(doc))
 

@@ -102,7 +102,7 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
             norm=norm,
             near=deficit <= 2.0 * tau,
         )
-    frames = cluster_eigenvalues(dec, tau)
+    frames = cluster_eigenvalues(dec)
     # The cluster frames are columns of the decomposition's unitary, so the
     # subspaces take them as they are.
     return ExtremalSpaces(
@@ -120,6 +120,7 @@ def _decompose(a) -> EigenDecomposition:
     return dec
 
 
+# No package code calls this; it stays while perfbench/spans.py TRACED names it.
 def extremal_eigenspaces(a) -> ExtremalSpaces:
     """Validate, decompose and split A: its eigenspaces at +-||A||.
 
@@ -174,12 +175,28 @@ def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (u * np.abs(w)) @ u.conj().T
 
 
+def _require_size(m, n: int, what: str) -> None:
+    """Refuse an operand that is not n x n for a basis of size n, before it
+    is decomposed or multiplied; ``what`` names the operand."""
+    shape = np.shape(m)
+    if shape != (n, n):
+        raise ValueError(f"{what} of shape {shape} does not match basis n = {n}")
+
+
+def _require_same_size(v: Subspace, w: Subspace) -> None:
+    if v.n != w.n:
+        raise ValueError(f"frames of different sizes: V has {v.n} rows, W has {w.n}")
+
+
 def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     """Check a claimed certificate: nonzero, Hermitian and trace-orthogonal
     to the basis within tol * ||X||_F, and A X = ||A|| |X| within
-    tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X)."""
-    dec = eig_hermitian(a)
+    tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X).  A and X
+    must both be n x n for the basis's n (ValueError otherwise)."""
     cand = np.asarray(x, dtype=complex)
+    _require_size(a, basis.n, "matrix")
+    _require_size(cand, basis.n, "certificate")
+    dec = eig_hermitian(a)
     norm_x = frobenius(cand)
     if (norm_x == 0.0 or frobenius(cand - cand.conj().T) > tol * norm_x
             or not in_trace_orthocomplement(cand, basis, tol)):
@@ -204,10 +221,8 @@ def check_minimal(
     """
     if not contains_identity(basis):
         raise NonUnitalBasis("minimality tests require the identity in the span")
-    dec = _decompose(a)
-    if len(dec.eigenvalues) != basis.n:
-        raise ValueError(f"matrix size {len(dec.eigenvalues)} does not match basis n = {basis.n}")
-    return _verdict(dec, basis, cfg)
+    _require_size(a, basis.n, "matrix")
+    return _verdict(_decompose(a), basis, cfg)
 
 
 _OUTCOMES = {
@@ -249,8 +264,7 @@ def is_support_pair(
     """Do the moments of two orthogonal subspaces intersect?"""
     if not contains_identity(basis):
         raise NonUnitalBasis("support pairs are defined for unital subalgebras")
-    if v.n != w.n:
-        raise ValueError(f"frames of different sizes: V has {v.n} rows, W has {w.n}")
+    _require_same_size(v, w)
     _require_orthogonal(v.frame, w.frame)
     return intersects(v, w, basis, cfg)
 
@@ -265,12 +279,17 @@ def construct_minimal(
 ) -> np.ndarray:
     """Build the minimal matrix lam (P_V - P_W) + R from a support pair.
 
-    R may be None for no perturbation; otherwise it must be Hermitian with
-    ||R|| <= lam + default_cluster_tol(lam) and vanish on V + W,
-    ||R (P_V + P_W)||_F <= STRUCTURE_TOL * lam: both relative to lam.
+    V and W must have the same number of rows n, and R, unless None for no
+    perturbation, must be n x n: sizes are compared before any product.  R
+    must be Hermitian with ||R|| <= lam + default_cluster_tol(lam) and
+    vanish on V + W, ||R (P_V + P_W)||_F <= STRUCTURE_TOL * lam: both
+    relative to lam.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lam must be positive and finite")
+    _require_same_size(v, w)
+    if r is not None and np.shape(r) != (v.n, v.n):
+        raise ValueError(f"R has shape {np.shape(r)}, but V and W have {v.n} rows")
     pv = v.frame @ v.frame.conj().T
     pw = w.frame @ w.frame.conj().T
     if r is None:

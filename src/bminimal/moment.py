@@ -84,6 +84,14 @@ class CompressedFamily:
     mats: np.ndarray  # (t, r, r) Hermitian stack
 
 
+def _require_finite(vec: np.ndarray, name: str) -> None:
+    """Refuse a vector with a NaN or infinite entry, naming it and the entry."""
+    bad = ~np.isfinite(vec)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"{name} must be finite: entry {k} is {vec[k]}")
+
+
 def _require_max_iter(max_iter) -> None:
     """Refuse an iteration budget that is not an integer >= 1; a bool or an
     integral float is not an integer here."""
@@ -165,11 +173,13 @@ def support_function(fam: CompressedFamily, w) -> float:
     """Support of the moment set: max over the set of <w, .>.
 
     Equals the top eigenvalue of sum_k w_k mats[k], so the value is exact up
-    to eigensolver accuracy; no sampling is involved.
+    to eigensolver accuracy; no sampling is involved.  The direction w must
+    be finite.
     """
     vec = np.asarray(w, dtype=float)
     if vec.shape != (fam.mats.shape[0],):
         raise ValueError(f"direction length {vec.shape} does not match t = {fam.mats.shape[0]}")
+    _require_finite(vec, "direction w")
     combined = np.einsum("k,kij->ij", vec, fam.mats)
     if frobenius(combined) == 0.0:
         return 0.0

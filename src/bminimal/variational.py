@@ -31,6 +31,7 @@ from .moment import (
     CompressedFamily,
     FWConfig,
     Subspace,
+    _require_finite,
     _require_max_iter,
     compress_family,
     support_function,
@@ -61,9 +62,11 @@ class AffineFamily:
         return self.basis.dim
 
     def evaluate(self, x) -> np.ndarray:
+        """A(x); x must be a finite real vector of length t."""
         vec = np.asarray(x, dtype=float)
         if vec.shape != (self.t,):
             raise ValueError(f"expected x of length {self.t}, got shape {vec.shape}")
+        _require_finite(vec, "x")
         out = self.a0 + self.basis.combine(vec)
         return (out + out.conj().T) / 2
 
@@ -85,16 +88,10 @@ class SubdifferentialView:
 
     def support(self, w) -> float:
         vec = np.asarray(w, dtype=float)
-        if self.kind == KIND_LAMBDA_MAX or self.kind == KIND_NORM_MAX:
-            return support_function(self.moment_max, vec)
         if self.kind == KIND_LAMBDA_MIN:
             return -support_function(self.moment_min, -vec)
-        if self.kind == KIND_NORM_MIN:
-            return support_function(self.moment_min, -vec)
-        return max(
-            support_function(self.moment_max, vec),
-            support_function(self.moment_min, -vec),
-        )
+        sides = ((self.moment_max, vec), (self.moment_min, -vec))
+        return max(support_function(fam, d) for fam, d in sides if fam is not None)
 
 
 @dataclass(frozen=True)
@@ -111,17 +108,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BestApproxResult:
-    """``trace`` holds one (iteration, norm) row per step, starting at 0."""
+    """``trace[k]`` is ||A(x_k)|| at step k = 0, ..., iterations, so the
+    run took ``len(trace) - 1`` steps."""
 
     x_star: np.ndarray
     dist: float
-    trace: np.ndarray  # (iterations + 1, 2) float
+    trace: np.ndarray  # (iterations + 1,) float
     converged: bool
 
 
 def _extreme_space(dec: EigenDecomposition, top: bool) -> Subspace:
     """The top (or bottom) eigenvalue cluster of a decomposition."""
-    frames = cluster_eigenvalues(dec, default_cluster_tol(dec.norm))
+    frames = cluster_eigenvalues(dec)
     return Subspace._trusted(frames[-1 if top else 0])
 
 
@@ -256,7 +254,6 @@ def best_approximation(
                 if _certified_optimal(fam, dec, a0_norm, cfg):
                     converged = True
                     break
-    trace = np.column_stack((np.arange(len(norms), dtype=float), norms))
     return BestApproxResult(
-        x_star=best_x, dist=best_f, trace=trace, converged=converged
+        x_star=best_x, dist=best_f, trace=np.array(norms), converged=converged
     )

@@ -329,20 +329,22 @@ class TestValidation:
 
 
 def reference_bases():
+    """(kind, basis) pairs; a basis does not record which builder made it."""
     rng = np.random.default_rng(23)
     return [
-        build_diagonal(4),
-        build_block([(2, "diagonal"), (2, "full")]),
-        build_pauli_diagonal(2),
-        build_pauli_diagonal(3),
-        orthonormalize([rand_hermitian(rng, 4) for _ in range(3)]),
+        ("diag", build_diagonal(4)),
+        ("block", build_block([(2, "diagonal"), (2, "full")])),
+        ("pauli-diag", build_pauli_diagonal(2)),
+        ("pauli-diag", build_pauli_diagonal(3)),
+        ("custom", orthonormalize([rand_hermitian(rng, 4) for _ in range(3)])),
     ]
 
 
 class TestBasisMaps:
     """coords, combine and compress_to against explicit per-element loops."""
 
-    @pytest.mark.parametrize("basis", reference_bases(), ids=lambda b: f"{b.label}-{b.n}")
+    @pytest.mark.parametrize("basis", [pytest.param(b, id=f"{kind}-{b.n}")
+                                       for kind, b in reference_bases()])
     def test_against_loops(self, basis):
         rng = np.random.default_rng(29)
         n, t = basis.n, basis.dim
@@ -410,24 +412,30 @@ class TestSupportStorage:
 
 
 def dense_maps_bases():
+    """(kind, basis) pairs, as ``reference_bases``."""
     rng = np.random.default_rng(41)
     return [
-        *(build_diagonal(n) for n in (1, 2, 5, 16, 64)),
-        *(build_pauli_diagonal(q) for q in range(1, 7)),
-        build_block([(2, "diagonal"), (2, "full")]),
-        build_block([(3, "full"), (1, "diagonal"), (2, "full")]),
-        build_block([(1, "full"), (4, "diagonal")]),
-        build_block([(4, "full")]),
-        orthonormalize([rand_hermitian(rng, 4) for _ in range(5)]),
-        orthonormalize([np.eye(3), np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, 0.0])]),
-        orthonormalize([np.diag([1.0, 0.0, 0.0]), np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]])]),
+        *(("diag", build_diagonal(n)) for n in (1, 2, 5, 16, 64)),
+        *(("pauli-diag", build_pauli_diagonal(q)) for q in range(1, 7)),
+        *(("block", build_block(pattern)) for pattern in (
+            [(2, "diagonal"), (2, "full")],
+            [(3, "full"), (1, "diagonal"), (2, "full")],
+            [(1, "full"), (4, "diagonal")],
+            [(4, "full")],
+        )),
+        *(("custom", orthonormalize(raw)) for raw in (
+            [rand_hermitian(rng, 4) for _ in range(5)],
+            [np.eye(3), np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, 0.0])],
+            [np.diag([1.0, 0.0, 0.0]), np.array([[0, 0, 0], [0, 0, 1j], [0, -1j, 0]])],
+        )),
     ]
 
 
 class TestAgainstDenseStack:
     """Every map of the support form against a dense einsum over ``elements``."""
 
-    @pytest.mark.parametrize("basis", dense_maps_bases(), ids=lambda b: f"{b.label}-{b.n}-{b.dim}")
+    @pytest.mark.parametrize("basis", [pytest.param(b, id=f"{kind}-{b.n}-{b.dim}")
+                                       for kind, b in dense_maps_bases()])
     def test_maps(self, basis):
         rng = np.random.default_rng(43)
         stack = basis.elements

@@ -262,6 +262,21 @@ class TestConstructAndCheck:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+    def test_sizes_compared_first(self, tmp_path, capsys):
+        v4 = write_frame(tmp_path / "v4.json", [[1.0, 0.0, 0.0, 0.0]])
+        w4 = write_frame(tmp_path / "w4.json", [[0.0, 1.0, 0.0, 0.0]])
+        w3 = write_frame(tmp_path / "w3.json", [[0.0, 1.0, 0.0]])
+        r3 = write_matrix(tmp_path / "r3.json", np.zeros((3, 3)))
+        r4 = write_matrix(tmp_path / "r4.json", np.zeros((4, 4)))
+        for w, rest, text in [(w4, r3, "R has shape (3, 3), but V and W have 4 rows"),
+                              (w3, r4, "frames of different sizes: V has 4 rows, W has 3")]:
+            code = main(["construct", "--v-frame", v4, "--w-frame", w, "--lam", "1",
+                         "--rest", rest, "--algebra", "diag"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {text}\n"
+
+
 class TestBestApproxAndDirDeriv:
     def test_best_approx(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "x.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -530,8 +545,8 @@ class TestUnreadFlags:
 
 
 class TestNonFiniteValues:
-    """A NaN or infinite tolerance or ``--lam`` is refused with exit 2 and one
-    error line, before any output."""
+    """A NaN or infinite tolerance, ``--lam`` or vector entry is refused with
+    exit 2 and one error line, before any output."""
 
     def assert_refused(self, capsys, argv):
         code = main(argv)
@@ -551,6 +566,22 @@ class TestNonFiniteValues:
         assert main(argv) == 1
         capsys.readouterr()
         self.assert_refused(capsys, [*argv, flag, value])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag, name", [
+        ("best-approx", "--x0", "x"),
+        ("dirderiv", "--x", "x"),
+        ("dirderiv", "--w", "direction w"),
+    ], ids=["x0", "x", "w"])
+    def test_vector(self, m1_file, capsys, command, flag, name, value):
+        # the refusal names the vector; no numpy warning reaches stderr
+        argv = [command, "--matrix", m1_file, "--algebra", "diag", flag, f"0,{value},0"]
+        if flag != "--w":
+            argv += ["--w", "1,0,0"] if command == "dirderiv" else ["--max-iter", "5"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {name} must be finite: entry 1 is {value}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_lam(self, tmp_path, capsys, value):

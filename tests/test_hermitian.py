@@ -108,20 +108,47 @@ class TestEig:
             hm.eig_hermitian([[0.0, 1.0], [1.0, 0.0]])
 
 
+def rotated(values, seed):
+    """A random unitary conjugate of diag(values)."""
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = (q * np.asarray(values)) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
 class TestCluster:
+    """One rule: consecutive eigenvalues merge when their gap is at most
+    default_cluster_tol(||A||) = 1e-8 ||A||."""
+
     def test_forced_merge(self):
-        dec = eig_hermitian(np.diag([-1.0, 1.0 - 1e-12, 1.0]))
-        clusters = cluster_eigenvalues(dec, 1e-8)
-        assert [c.shape[1] for c in clusters] == [1, 2]
+        # gaps of 0.9e-8 ||A|| merge and gaps of 1.1e-8 ||A|| do not, at every scale
+        cases = [
+            ([-1.0, 1.0 - 1e-12, 1.0], [1, 2]),
+            ([-1.0, 1.0 - 0.9e-8, 1.0], [1, 2]),
+            ([-1.0, 1.0 - 1.1e-8, 1.0], [1, 1, 1]),
+            ([-1.0, -1.0 + 0.9e-8, 0.5, 1.0], [2, 1, 1]),
+            ([-1.0, -1.0 + 1.1e-8, 0.5, 1.0], [1, 1, 1, 1]),
+        ]
+        for c in SCALES:
+            for values, widths in cases:
+                dec = eig_hermitian(c * np.diag(values))
+                assert [f.shape[1] for f in cluster_eigenvalues(dec)] == widths
+
+    def test_chained_gaps_merge(self):
+        # ||A|| = 2, so gaps of 1e-8 chain three eigenvalues into one cluster
+        values = [-2.0, -2.0 + 1e-8, -2.0 + 2e-8, 0.5, 2.0 - 1e-8, 2.0]
+        dec = eig_hermitian(rotated(values, 16))
+        assert [f.shape[1] for f in cluster_eigenvalues(dec)] == [3, 1, 2]
 
     def test_all_singletons(self):
         dec = eig_hermitian(np.diag([0.0, 0.5, 1.0]))
-        clusters = cluster_eigenvalues(dec, 1e-8)
+        clusters = cluster_eigenvalues(dec)
         assert [c.shape[1] for c in clusters] == [1, 1, 1]
 
     def test_m1_top_frame(self):
         dec = eig_hermitian(M1)
-        clusters = cluster_eigenvalues(dec, 1e-8)
+        clusters = cluster_eigenvalues(dec)
         top = clusters[-1]
         assert top.shape[1] == 2
         gram = top.conj().T @ top
@@ -132,7 +159,7 @@ class TestCluster:
     def test_distinct_frames_orthogonal(self):
         rng = np.random.default_rng(14)
         dec = eig_hermitian(rand_hermitian(rng, 7))
-        clusters = cluster_eigenvalues(dec, 1e-8)
+        clusters = cluster_eigenvalues(dec)
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 cross = clusters[i].conj().T @ clusters[j]
@@ -140,30 +167,20 @@ class TestCluster:
 
     def test_frames_tile_the_unitary(self):
         rng = np.random.default_rng(15)
-        cases = [(eig_hermitian(rand_hermitian(rng, n)), 1e-8) for n in (1, 2, 5, 8)]
-        # forced merges: a near-double pair, one cluster, and a coarse tau
+        cases = [eig_hermitian(rand_hermitian(rng, n)) for n in (1, 2, 5, 8)]
+        # forced merges: a near-double pair, one cluster, chained gaps, and A = 0
         cases += [
-            (eig_hermitian(np.diag([-1.0, 1.0 - 1e-12, 1.0])), 1e-8),
-            (eig_hermitian(np.eye(3)), 1e-8),
-            (eig_hermitian(rand_hermitian(rng, 6)), 0.5),
+            eig_hermitian(np.diag([-1.0, 1.0 - 1e-12, 1.0])),
+            eig_hermitian(np.eye(3)),
+            eig_hermitian(rotated([-2.0, -2.0 + 1e-8, -2.0 + 2e-8, 0.5, 2.0 - 1e-8, 2.0], 17)),
+            eig_hermitian(np.zeros((3, 3))),
         ]
-        for dec, tau in cases:
-            frames = cluster_eigenvalues(dec, tau)
+        for dec in cases:
+            frames = cluster_eigenvalues(dec)
             assert all(isinstance(f, np.ndarray) for f in frames)
             assert not any(np.shares_memory(f, dec.vectors) for f in frames)
             assert np.hstack(frames).tobytes() == dec.vectors.tobytes()
-
-    def test_rejects_nonpositive_tau(self):
-        dec = eig_hermitian(np.eye(2))
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            cluster_eigenvalues(dec, 0.0)
-
-    @pytest.mark.parametrize("tau", [-1e-8, np.nan, np.inf])
-    def test_rejects_tau_that_is_not_positive_and_finite(self, tau):
-        # a NaN tau would merge every spectrum into one cluster
-        dec = eig_hermitian(np.diag([-1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            cluster_eigenvalues(dec, tau)
+        assert len(cluster_eigenvalues(cases[-1])) == 1
 
 
 class TestValidatesOnce:

@@ -122,7 +122,10 @@ class TestFrameDocuments:
 class TestAlgebraDocuments:
     def test_diag(self):
         basis = bio.algebra_from_doc({"kind": "diag", "n": 3})
-        assert basis.dim == 3 and basis.label == "diag"
+        ref = build_diagonal(3)
+        assert basis.dim == 3
+        assert all(np.array_equal(a, b) for a, b in zip(basis.support, ref.support))
+        assert np.array_equal(basis.table, ref.table)
 
     def test_pauli(self):
         basis = bio.algebra_from_doc({"kind": "pauli-diag", "q": 2})

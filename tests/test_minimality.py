@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,22 @@ class TestCheckMinimal:
             if report.verdict == MINIMAL:
                 assert validate_certificate(ua, report.certificate.x, rotated, 1e-6)
 
+    def test_size_refused_before_validation(self, monkeypatch):
+        # the size is compared before the eigensolve validates A
+        calls = []
+        real = hermitian._as_hermitian_stack
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "_as_hermitian_stack", counting)
+        a = rand_hermitian(np.random.default_rng(64), 8)
+        text = r"matrix of shape \(8, 8\) does not match basis n = 3"
+        with pytest.raises(ValueError, match=text):
+            check_minimal(a, build_diagonal(3))
+        assert calls == []
+
     def test_basis_size_must_match(self):
         # one-sided: no moment test runs to notice the size
         with pytest.raises(ValueError, match="does not match"):
@@ -399,6 +416,14 @@ class TestValidateCertificate:
         bad = np.diag([0.0, 1.0, -1.0])  # trace-orthogonal? no: diagonal nonzero
         assert not validate_certificate(M1, bad, build_diagonal(3), 1e-6)
 
+    def test_sizes_compared_first(self):
+        # an X that is trace-orthogonal to the basis would reach A X
+        basis = build_diagonal(3)
+        with pytest.raises(ValueError, match=r"matrix of shape \(4, 4\) does not match basis"):
+            validate_certificate(np.eye(4), X_SWAP, basis, 1e-6)
+        with pytest.raises(ValueError, match=r"certificate of shape \(2, 2\) does not match basis"):
+            validate_certificate(M1, np.eye(2), basis, 1e-6)
+
     @pytest.mark.parametrize("c", SCALES)
     def test_scale_invariant(self, c):
         # A and X scaled independently: each check is relative to ||A|| and
@@ -495,6 +520,17 @@ class TestConstructMinimal:
             construct_minimal(v, w, 1.0, 2.0 * rest, block_basis())
         with pytest.raises(PerturbationOverlapsSupport):
             construct_minimal(v, w, 1.0, 0.5 * p, block_basis())
+
+    def test_sizes_compared_first(self):
+        v3 = Subspace(np.array([[IV], [IV], [0.0]], dtype=complex))
+        w3 = Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex))
+        v4 = Subspace(np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="V has 4 rows, W has 3"):
+            construct_minimal(v4, w3, 1.0, np.zeros((4, 4)), build_diagonal(4))
+        for rest in (np.zeros((2, 2)), np.zeros((4, 4)), np.zeros(3)):
+            text = f"R has shape {rest.shape}, but V and W have 3 rows"
+            with pytest.raises(ValueError, match=re.escape(text)):
+                construct_minimal(v3, w3, 1.0, rest, build_diagonal(3))
 
     @pytest.mark.parametrize("c", SCALES)
     def test_scale_covariant(self, c):

@@ -15,7 +15,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptySpan, InvalidPattern, SpanMismatch
-from .hermitian import INPUT_TOL, STRUCTURE_TOL, _as_hermitian_stack, as_hermitian, frobenius
+from .hermitian import (
+    INPUT_TOL,
+    STRUCTURE_TOL,
+    _as_hermitian_stack,
+    _require_tol,
+    as_hermitian,
+    frobenius,
+    symmetrize,
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -131,10 +139,7 @@ class SubalgebraBasis:
         computed as Q* (B_k Q): for a builder's basis it matches the dense
         product bit for bit."""
         q = np.asarray(frame)
-        mats = q.conj().T @ self._apply(q)
-        mats += np.conj(np.transpose(mats, (0, 2, 1)))
-        mats /= 2
-        return mats
+        return symmetrize(q.conj().T @ self._apply(q))
 
 
 def build_diagonal(n: int) -> SubalgebraBasis:
@@ -311,6 +316,8 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
 
 
 def in_trace_orthocomplement(x, basis: SubalgebraBasis, tol: float) -> bool:
-    """True iff max_k |tr(X B_k)| <= tol * ||X||_F, so X and cX agree."""
+    """True iff max_k |tr(X B_k)| <= tol * ||X||_F, so X and cX agree; tol
+    must be positive and finite."""
+    _require_tol(tol, "tol")
     mat = np.asarray(x, dtype=complex)
     return float(np.max(np.abs(basis.coords(mat)))) <= tol * frobenius(mat)

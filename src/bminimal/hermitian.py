@@ -6,6 +6,7 @@ eigendecompositions of small dense Hermitian matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,43 @@ _SMALLEST_TOL = float(np.finfo(float).smallest_subnormal)  # floor for A = 0
 
 _OFF_DIAG_TOL = 1e-12  # relative to ||A||_F
 _MAX_SWEEPS = 100
+# Below this Frobenius norm the sum of squares is subnormal or 0, and the
+# plain norm has lost bits.
+_NORM_FLOOR = 2.0**-511
+
+
+def _require_tol(tol: float, name: str) -> None:
+    """Refuse a tolerance that is NaN, infinite, zero or negative, naming it."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerances must be positive and finite: {name} is {tol!r}")
+
+
+def symmetrize(x) -> np.ndarray:
+    """The Hermitian part x/2 + x*/2 of a matrix, or of each matrix of a stack
+    (over the last two axes): the package's one rule for it.
+
+    Halving first cannot overflow, and it gives the bits of (x + x*)/2
+    wherever the halves are normal floats, since halving is exact there.
+    """
+    out = np.asarray(x) * 0.5
+    out += out.conj().swapaxes(-1, -2)
+    return out
+
+
+def unit_scaled(a) -> tuple[np.ndarray, int]:
+    """(2^-e a, e) for the e that puts the largest real or imaginary part of
+    ``a`` in [0.5, 1), as a new C-ordered array (at least 1-d); e = 0 when
+    ``a`` is zero or not finite.
+
+    A power of two scales every normal float exactly, so work on 2^-e a
+    keeps the bits of work on a, and no product or sum of squares leaves the
+    normal range.  The real and imaginary parts are scaled as floats,
+    because a complex division by a subnormal overflows.
+    """
+    arr = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    parts = arr.view(float)  # real and imaginary parts side by side
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]  # 0 for 0, inf, NaN
+    return np.ldexp(parts, -e).view(arr.dtype), e
 
 
 def as_hermitian(a) -> np.ndarray:
@@ -45,22 +83,33 @@ def _as_hermitian_stack(arr: np.ndarray) -> np.ndarray:
     # few numpy calls: array methods, and per-element maxima over flat rows.
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    adj = arr.conj().swapaxes(-1, -2)
+    herm = symmetrize(arr)
     rows = (arr.shape[0], -1)
     scale = np.abs(arr).reshape(rows).max(axis=1)
-    asym = np.abs(arr - adj).reshape(rows).max(axis=1)
-    bad = asym > INPUT_TOL * scale
+    # A - H(A) = (A - A*)/2, which cannot overflow where A - A* can
+    skew = np.abs(arr - herm).reshape(rows).max(axis=1)
+    bad = skew > (INPUT_TOL / 2) * scale
     if bad.any():
         k = int(bad.argmax())
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {asym[k]:.3e} exceeds "
+            f"matrix is not Hermitian: max asymmetry {2 * float(skew[k]):.3e} exceeds "
             f"{INPUT_TOL:.1e} * {scale[k]:.3e}"
         )
-    return (arr + adj) / 2
+    return herm
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+def frobenius(a) -> float:
+    """||a||_F at any scale: where the plain sum of squares leaves the normal
+    range (a norm below 2^-511, or inf for a finite array), the norm is taken
+    of ``unit_scaled(a)`` and scaled back exactly; inf only when the norm
+    itself exceeds the float range."""
+    arr = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+        if norm < _NORM_FLOOR or norm == math.inf:
+            scaled, e = unit_scaled(arr)
+            norm = float(np.ldexp(np.linalg.norm(scaled), e))
+    return norm
 
 
 @dataclass(frozen=True)
@@ -111,23 +160,25 @@ def eig_hermitian(a) -> EigenDecomposition:
 
     Unitary Givens rotations (with phases chosen to zero each off-diagonal
     pair) are applied in fixed cyclic order until the off-diagonal Frobenius
-    norm drops below 1e-12 * ||A||_F, capped at 100 sweeps.  Deterministic
-    for a fixed input; eigenvalues returned ascending; eigenvector phases
-    normalized so the first largest-modulus entry of each column is real
-    positive.
+    norm drops below 1e-12 * ||A||_F, capped at 100 sweeps.  The sweeps run
+    on ``unit_scaled(A)`` and the eigenvalues are scaled back exactly, so
+    cA (c > 0) gets c times the eigenvalues and the same eigenvectors of A
+    from 1e-300 to 1e300.  Deterministic for a fixed input; eigenvalues
+    returned ascending; eigenvector phases normalized so the first
+    largest-modulus entry of each column is real positive.
     """
     a0 = as_hermitian(a)
     n = a0.shape[0]
-    work = a0.copy()
+    work, e = unit_scaled(a0)
     q = np.eye(n, dtype=complex)
-    norm_f = frobenius(a0)
+    norm_f = float(np.linalg.norm(work))
     off_tol = _OFF_DIAG_TOL * norm_f
     rotate_tol = off_tol / max(n, 1)
 
     def off_norm(m: np.ndarray) -> float:
         stripped = m.copy()
         np.fill_diagonal(stripped, 0.0)
-        return frobenius(stripped)
+        return float(np.linalg.norm(stripped))
 
     converged = off_norm(work) <= off_tol
     for _ in range(_MAX_SWEEPS):
@@ -146,13 +197,16 @@ def eig_hermitian(a) -> EigenDecomposition:
         converged = off_norm(work) <= off_tol
     if not converged:
         raise NonConvergence(
-            f"off-diagonal norm {off_norm(work):.3e} above {off_tol:.3e} "
-            f"after {_MAX_SWEEPS} sweeps"
+            f"off-diagonal norm {math.ldexp(off_norm(work), e):.3e} above "
+            f"{math.ldexp(off_tol, e):.3e} after {_MAX_SWEEPS} sweeps"
         )
 
     values = np.real(np.diag(work))
     order = np.argsort(values, kind="stable")
     values = values[order]
+    if e > 0 and max(-values[0], values[-1]) >= 2.0 ** (1024 - e):
+        raise ValueError("an eigenvalue of the matrix exceeds the float range")
+    values = np.ldexp(values, e)
     q = _fix_phases(q[:, order])
     return EigenDecomposition(eigenvalues=values, vectors=q, matrix=a0)
 
@@ -176,7 +230,8 @@ def cluster_eigenvalues(decomp: EigenDecomposition) -> list[np.ndarray]:
     """
     tau = default_cluster_tol(decomp.norm)
     values = decomp.eigenvalues
-    starts = [0, *(np.flatnonzero(np.diff(values) > tau) + 1).tolist(), len(values)]
+    # halves, so that a gap beyond the float range still compares
+    starts = [0, *(np.flatnonzero(np.diff(values / 2) > tau / 2) + 1).tolist(), len(values)]
     return [decomp.vectors[:, lo:hi].copy() for lo, hi in zip(starts[:-1], starts[1:])]
 
 
@@ -184,7 +239,7 @@ def abs_hermitian(x) -> np.ndarray:
     """Matrix absolute value |X| = Q |diag| Q*; PSD and commuting with X."""
     dec = eig_hermitian(x)
     out = (dec.vectors * np.abs(dec.eigenvalues)[np.newaxis, :]) @ dec.vectors.conj().T
-    return (out + out.conj().T) / 2
+    return symmetrize(out)
 
 
 def _bottom_eigpair(g: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,6 +9,7 @@ certificate X with A X = ||A|| |X| and X trace-orthogonal to the basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,14 @@ from .errors import (
 from .hermitian import (
     STRUCTURE_TOL,
     EigenDecomposition,
+    _require_tol,
     abs_hermitian,
     cluster_eigenvalues,
     default_cluster_tol,
     eig_hermitian,
     frobenius,
+    symmetrize,
+    unit_scaled,
 )
 from .moment import FWConfig, Subspace, decide, intersects, moment_distance
 
@@ -94,7 +98,8 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     """
     norm = dec.norm
     tau = default_cluster_tol(norm)
-    deficit = abs(float(dec.eigenvalues[-1] + dec.eigenvalues[0]))
+    # Python floats: a one-sided sum beyond the float range is inf, silently
+    deficit = abs(float(dec.eigenvalues[-1]) + float(dec.eigenvalues[0]))
     if deficit > tau:
         raise NormNotTwoSided(
             f"spectrum misses one of +-||A||: |lam_max + lam_min| = {deficit:.3e} "
@@ -150,8 +155,7 @@ def build_certificate(
     _require_orthogonal(qp, qm)
     rp = np.asarray(r_plus, dtype=complex)
     rm = np.asarray(r_minus, dtype=complex)
-    x = qp @ rp @ qp.conj().T - qm @ rm @ qm.conj().T
-    x = (x + x.conj().T) / 2
+    x = symmetrize(qp @ rp @ qp.conj().T - qm @ rm @ qm.conj().T)
     abs_x = _abs_over_frame(qp, rp) + _abs_over_frame(qm, rm)
     return Certificate(
         x=x,
@@ -170,7 +174,7 @@ def _require_orthogonal(v: np.ndarray, w: np.ndarray) -> None:
 def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Q |H| Q* for an orthonormal n x r frame Q and the Hermitian part H of
     an r x r block, with |H| from LAPACK."""
-    w, v = np.linalg.eigh((r + r.conj().T) / 2)
+    w, v = np.linalg.eigh(symmetrize(r))
     u = q @ v
     return (u * np.abs(w)) @ u.conj().T
 
@@ -191,19 +195,24 @@ def _require_same_size(v: Subspace, w: Subspace) -> None:
 def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     """Check a claimed certificate: nonzero, Hermitian and trace-orthogonal
     to the basis within tol * ||X||_F, and A X = ||A|| |X| within
-    tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X).  A and X
-    must both be n x n for the basis's n (ValueError otherwise)."""
-    cand = np.asarray(x, dtype=complex)
+    tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X).  The checks
+    run on A and X scaled by their own powers of two (``unit_scaled``), so
+    A X cannot overflow or underflow.  A and X must both be n x n for the
+    basis's n, and tol positive and finite (ValueError otherwise)."""
+    _require_tol(tol, "tol")
     _require_size(a, basis.n, "matrix")
-    _require_size(cand, basis.n, "certificate")
+    _require_size(x, basis.n, "certificate")
     dec = eig_hermitian(a)
+    mat, e = unit_scaled(dec.matrix)
+    norm_a = math.ldexp(dec.norm, -e)
+    cand, _ = unit_scaled(np.asarray(x, dtype=complex))
     norm_x = frobenius(cand)
     if (norm_x == 0.0 or frobenius(cand - cand.conj().T) > tol * norm_x
             or not in_trace_orthocomplement(cand, basis, tol)):
         return False
-    cand = (cand + cand.conj().T) / 2
-    residual = frobenius(dec.matrix @ cand - dec.norm * abs_hermitian(cand))
-    return residual <= tol * dec.norm * norm_x
+    cand = symmetrize(cand)
+    residual = frobenius(mat @ cand - norm_a * abs_hermitian(cand))
+    return residual <= tol * norm_a * norm_x
 
 
 def check_minimal(
@@ -306,5 +315,4 @@ def construct_minimal(
             )
     if not is_support_pair(v, w, basis, cfg):
         raise NotSupportPair("the moments of V and W do not intersect")
-    m = lam * (pv - pw) + rest
-    return (m + m.conj().T) / 2
+    return symmetrize(lam * (pv - pw) + rest)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .algebra import SubalgebraBasis
 from .errors import Undecided
-from .hermitian import STRUCTURE_TOL, _bottom_eigpair, eig_hermitian, frobenius
+from .hermitian import (
+    STRUCTURE_TOL,
+    _bottom_eigpair,
+    _require_tol,
+    eig_hermitian,
+    frobenius,
+    symmetrize,
+)
 
 # Why a Frank-Wolfe solve stopped (FWResult.stop_reason).
 STOP_GAP_MET = "gap_met"      # the gap fell to cfg.gap_tol
@@ -108,8 +115,8 @@ class FWConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not all(np.isfinite(t) and t > 0 for t in (self.gap_tol, self.dist_tol)):
-            raise ValueError("tolerances must be positive and finite")
+        _require_tol(self.gap_tol, "gap_tol")
+        _require_tol(self.dist_tol, "dist_tol")
         _require_max_iter(self.max_iter)
 
 
@@ -174,15 +181,16 @@ def support_function(fam: CompressedFamily, w) -> float:
 
     Equals the top eigenvalue of sum_k w_k mats[k], so the value is exact up
     to eigensolver accuracy; no sampling is involved.  The direction w must
-    be finite.
+    be finite, and small enough that the combination is finite.
     """
     vec = np.asarray(w, dtype=float)
     if vec.shape != (fam.mats.shape[0],):
         raise ValueError(f"direction length {vec.shape} does not match t = {fam.mats.shape[0]}")
     _require_finite(vec, "direction w")
-    combined = np.einsum("k,kij->ij", vec, fam.mats)
-    if frobenius(combined) == 0.0:
-        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        combined = np.einsum("k,kij->ij", vec, fam.mats)
+    if not np.isfinite(combined).all():
+        raise ValueError("direction w is too large: an entry of sum_k w_k M_k overflows")
     return float(eig_hermitian(combined).eigenvalues[-1])
 
 
@@ -273,8 +281,8 @@ def moment_distance(
         r1 += step * (vert1 - r1)
         r2 += step * (vert2 - r2)
         d += step * u
-    r1 = (r1 + r1.conj().T) / 2
-    r2 = (r2 + r2.conj().T) / 2
+    r1 = symmetrize(r1)
+    r2 = symmetrize(r2)
     d = moment_of_density(fam1, r1) - moment_of_density(fam2, r2)
     return FWResult(
         distance=float(np.linalg.norm(d)),

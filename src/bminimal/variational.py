@@ -25,6 +25,7 @@ from .hermitian import (
     cluster_eigenvalues,
     default_cluster_tol,
     eig_hermitian,
+    symmetrize,
 )
 from .minimality import MINIMAL, MinimalityReport, _decompose, _verdict, check_minimal, spectral_split
 from .moment import (
@@ -62,13 +63,17 @@ class AffineFamily:
         return self.basis.dim
 
     def evaluate(self, x) -> np.ndarray:
-        """A(x); x must be a finite real vector of length t."""
+        """A(x); x must be a finite real vector of length t, and small enough
+        that A(x) is finite (ValueError naming x otherwise)."""
         vec = np.asarray(x, dtype=float)
         if vec.shape != (self.t,):
             raise ValueError(f"expected x of length {self.t}, got shape {vec.shape}")
         _require_finite(vec, "x")
-        out = self.a0 + self.basis.combine(vec)
-        return (out + out.conj().T) / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.a0 + self.basis.combine(vec)
+        if not np.isfinite(out).all():
+            raise ValueError("x is too large: an entry of A(x) overflows")
+        return symmetrize(out)
 
 
 @dataclass(frozen=True)

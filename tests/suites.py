@@ -73,5 +73,7 @@ MALFORMED = {
 }
 
 # Scales c for the sweep "A is minimal iff cA is": 1e-12 to 1e12 in steps
-# of 100.
-SCALES = [10.0**e for e in range(-12, 13, 2)]
+# of 100, and the extremes 1e-300 to 1e300, where a plain Frobenius norm
+# underflows or overflows and a subnormal entry keeps few bits.
+SCALES = sorted([10.0**e for e in range(-12, 13, 2)]
+                + [1e-300, 1e-200, 1e-160, 1e155, 1e200, 1e300])

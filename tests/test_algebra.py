@@ -276,6 +276,12 @@ class TestTraceOrthocomplement:
     def test_identity_fails_for_unital(self):
         assert not in_trace_orthocomplement(np.eye(2), build_pauli_diagonal(1), 1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_bad_tol(self, tol):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            in_trace_orthocomplement(x, build_diagonal(2), tol)
+
     def test_swap_three(self):
         x = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])
         assert in_trace_orthocomplement(x, build_diagonal(3), 1e-10)

@@ -33,6 +33,16 @@ def m1_file(tmp_path):
     return write_matrix(tmp_path / "m1.json", M1)
 
 
+def run_bmin(args):
+    """``bmin ARGS`` in a new interpreter, under Python's default warning
+    filters: what a user sees on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bminimal.cli", *args],
+                          env=env, capture_output=True, timeout=120)
+
+
 class TestCheck:
     def test_minimal_exit_zero(self, m1_file, capsys):
         code = main(["check", "--matrix", m1_file, "--algebra", "diag"])
@@ -97,11 +107,7 @@ class TestCheck:
         args = ["check", "--matrix", m1_file, "--algebra", "diag"]
         code = main(args)
         expected = capsys.readouterr().out.encode("utf-8")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "bminimal.cli", *args],
-                              env=env, capture_output=True, timeout=120)
+        proc = run_bmin(args)
         assert proc.returncode == code
         assert proc.stdout == expected
 
@@ -313,6 +319,46 @@ class TestBestApproxAndDirDeriv:
         assert got == pytest.approx(
             directional_derivative(fam, [0.3, -0.1], [1.0, 2.0]), abs=0
         )
+
+
+class TestHugeVectors:
+    """Finite vectors near the float range: each command prints its result,
+    or exactly one error line naming x or w, and no numpy warning reaches
+    stderr (in-process a warning fails the run; the process shows what a
+    user sees)."""
+
+    @pytest.mark.parametrize("argv, key, expected", [
+        (["best-approx", "--x0", "1e308,1e308,0"], "dist", 1.0),
+        (["dirderiv", "--x", "1e308,-1e308,0", "--w", "1,0,0"], "value", 1.0),
+        (["dirderiv", "--w", "1e308,-1e308,1e308"], "value", 1e308),
+    ], ids=["x0", "x", "w"])
+    def test_result(self, m1_file, capsys, argv, key, expected):
+        args = [argv[0], "--matrix", m1_file, "--algebra", "diag", *argv[1:]]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)[key] == pytest.approx(expected, rel=1e-12)
+        proc = run_bmin(args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == captured.out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv, matrix, algebra, error", [
+        (["best-approx", "--x0", "1e308,0"], 1e308 * np.eye(2), "diag", "x is too large"),
+        (["dirderiv", "--x", "1e308,0", "--w", "1,0"], 1e308 * np.eye(2), "diag",
+         "x is too large"),
+        (["dirderiv", "--w", "1.5e308,1.5e308"], np.zeros((2, 2)), "pauli:1",
+         "direction w is too large"),
+    ], ids=["x0", "x", "w"])
+    def test_overflow_refused(self, tmp_path, capsys, argv, matrix, algebra, error):
+        path = write_matrix(tmp_path / "a.json", matrix)
+        args = [argv[0], "--matrix", path, "--algebra", algebra, *argv[1:]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+        proc = run_bmin(args)
+        assert proc.returncode == 2
+        assert proc.stderr.decode("utf-8") == captured.err
 
 
 class TestNegativeVectors:

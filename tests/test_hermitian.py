@@ -8,7 +8,9 @@ from bminimal.hermitian import (
     as_hermitian,
     cluster_eigenvalues,
     eig_hermitian,
+    frobenius,
     min_eigpair,
+    symmetrize,
 )
 from bminimal.minimality import construct_minimal, validate_certificate
 from bminimal.moment import Subspace
@@ -35,6 +37,11 @@ class TestAsHermitian:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             as_hermitian([[np.nan, 0.0], [0.0, 0.0]])
+
+    def test_rejects_huge_asymmetry_without_overflow(self):
+        # A - A* would overflow here; (A - A*)/2 does not
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian([[0.0, 1e308], [-1e308, 0.0]])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -312,3 +319,57 @@ class TestMinEigpair:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             min_eigpair([[np.nan, 0.0], [0.0, 1.0]])
+
+
+class TestSymmetrize:
+    def test_bits_of_sum_then_halve(self):
+        # halving first is exact for normal floats, so the Hermitian part
+        # keeps the bits of (x + x*)/2 that every output was computed with
+        rng = np.random.default_rng(41)
+        for shape in [(1, 1), (3, 3), (8, 8), (4, 5, 5)]:
+            for _ in range(20):
+                scale = 10.0 ** rng.uniform(-100, 100)
+                x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for arr in (x, x.real):
+                    adj = np.conj(np.swapaxes(arr, -1, -2))
+                    assert symmetrize(arr).tobytes() == ((arr + adj) / 2).tobytes()
+
+    def test_huge_entries_stay_finite(self):
+        # (x + x*)/2 overflows here; the Hermitian part does not
+        x = np.array([[1.7e308, 1.6e308 + 1.5e308j], [1.7e308 - 1.2e308j, -1.7e308]])
+        out = symmetrize(x)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, out.conj().T)
+        assert (out[0, 1].real, out[0, 1].imag) == pytest.approx((1.65e308, 1.35e308), rel=1e-15)
+        stack = symmetrize(np.stack([x, x.conj()]))
+        assert np.isfinite(stack).all()
+        assert np.array_equal(stack, np.conj(np.swapaxes(stack, 1, 2)))
+
+
+class TestExtremeScales:
+    def test_frobenius(self):
+        # the plain sum of squares is 0 below about 1e-162 and inf above
+        # about 1e154; the norm is exact to rounding at every scale
+        a = rand_hermitian(np.random.default_rng(42), 4)
+        ref = np.linalg.norm(a)
+        for c in (1e-320, 1e-300, 1e-200, 1e-160, 1.0, 1e155, 1e200, 1e300):
+            assert frobenius(c * a) == pytest.approx(c * ref, rel=1e-13 if c > 1e-308 else 1e-3)
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert frobenius(np.full((3, 3), 5e307)) == pytest.approx(1.5e308, rel=1e-15)
+        assert frobenius(np.full((3, 3), 1e308)) == np.inf
+
+    @pytest.mark.parametrize("k", [-1000, -520, -1, 0, 1, 520, 1000])
+    def test_eig_exact_under_powers_of_two(self, k):
+        # the sweeps see 2^k A as they see A: the same rotations, the same
+        # vectors, and eigenvalues scaled back exactly
+        a = rand_hermitian(np.random.default_rng(43), 5)
+        ref = eig_hermitian(a)
+        dec = eig_hermitian(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+        assert np.array_equal(dec.eigenvalues, np.ldexp(ref.eigenvalues, k))
+        assert np.array_equal(dec.vectors, ref.vectors)
+
+    def test_eigenvalue_beyond_float_range(self):
+        # finite entries whose largest eigenvalue (2e308) is not a float
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            eig_hermitian(np.full((2, 2), 1e308))
+        assert eig_hermitian(np.full((2, 2), 8e307)).eigenvalues[-1] == pytest.approx(1.6e308)

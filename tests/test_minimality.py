@@ -255,6 +255,19 @@ class TestCheckMinimal:
         if verdict == MINIMAL:
             assert validate_certificate(c * a, report.certificate.x, basis, 1e-6)
 
+    @pytest.mark.parametrize("c", [1e-320, 1.79e308])
+    def test_edges_of_float_range(self, c):
+        # past SCALES: subnormal entries, and spectra whose width 2 ||A||
+        # is beyond the float range
+        basis = build_diagonal(3)
+        report = check_minimal(c * M1, basis)
+        assert report.verdict == MINIMAL
+        assert validate_certificate(c * M1, report.certificate.x, basis, 1e-6)
+        assert check_minimal(c * np.diag([1.0, -1.0, 0.0]), basis).verdict == NOT_MINIMAL
+        for one_sided in (c * np.eye(3), -c * np.eye(3)):
+            report = check_minimal(one_sided, basis)
+            assert (report.verdict, report.reason) == (NOT_MINIMAL, REASON_NORM)
+
     def test_requires_unital(self):
         e1 = np.zeros((3, 3))
         e1[0, 0] = 1.0
@@ -412,6 +425,12 @@ class TestValidateCertificate:
             np.diag([1.0, -1.0]), np.diag([1.0, -1.0]), build_diagonal(2), 1e-6
         )
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_refuses_bad_tol(self, tol):
+        # an infinite tol would pass diag(1, -1), which lies in the algebra
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            validate_certificate(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]), build_diagonal(2), tol)
+
     def test_rejects_wrong_equation(self):
         bad = np.diag([0.0, 1.0, -1.0])  # trace-orthogonal? no: diagonal nonzero
         assert not validate_certificate(M1, bad, build_diagonal(3), 1e-6)
@@ -432,6 +451,8 @@ class TestValidateCertificate:
         off_equation = X_SWAP + 1e-4 * np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
         asymmetric = X_SWAP + 1e-4 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         not_orthogonal = X_SWAP + 1e-4 * np.diag([1.0, 0.0, 0.0])
+        # A and X are scaled apart before A X is formed, so c d may lie far
+        # outside the float range
         for d in SCALES:
             assert validate_certificate(c * M1, d * X_SWAP, basis, 1e-6)
             for bad in (off_equation, asymmetric, not_orthogonal):

@@ -111,6 +111,44 @@ class TestNonFiniteVectors:
             support_function(subdiff_lambda_max(fam, np.zeros(3)).moment_max, bad)
 
 
+class TestHugeVectors:
+    """Finite x, x0 or w near the float range give a result, or one
+    ValueError naming the vector when A(x) or sum_k w_k M_k overflows; no
+    numpy warning (a warning fails the run)."""
+
+    def test_best_approximation_from_huge_start(self):
+        fam = AffineFamily(M1, build_diagonal(3))
+        cfg = SolverConfig(max_iter=5)
+        res = best_approximation(fam, [1e308, 1e308, 0.0], cfg)
+        ref = best_approximation(fam, np.zeros(3), cfg)
+        assert res.converged and res.dist == ref.dist
+
+    def test_directional_derivative_at_huge_point(self):
+        # A(x) = diag(1e308, -1e308, 0) + M1 has the top eigenvector e1
+        fam = AffineFamily(M1, build_diagonal(3))
+        assert directional_derivative(fam, [1e308, -1e308, 0.0], [1.0, 0.0, 0.0]) == 1.0
+
+    def test_directional_derivative_along_huge_direction(self):
+        # the top eigenspace of M1 is span{e1 + e2, e3}: w's first two
+        # entries cancel there, and the support is w_3
+        fam = AffineFamily(M1, build_diagonal(3))
+        value = directional_derivative(fam, np.zeros(3), [1e308, -1e308, 1e308])
+        assert value == pytest.approx(1e308, rel=1e-15)
+
+    def test_overflowing_point_names_x(self):
+        fam = AffineFamily(1e308 * np.eye(2), build_diagonal(2))
+        for call in (fam.evaluate, lambda x: best_approximation(fam, x),
+                     lambda x: directional_derivative(fam, x, np.ones(2))):
+            with pytest.raises(ValueError, match="^x is too large"):
+                call([1e308, 0.0])
+
+    def test_overflowing_direction_names_w(self):
+        # sum_k w_k M_k = diag(w_1 + w_2, w_1 - w_2) / sqrt(2) on C^2
+        fam = AffineFamily(np.zeros((2, 2)), build_pauli_diagonal(1))
+        with pytest.raises(ValueError, match="^direction w is too large"):
+            directional_derivative(fam, np.zeros(2), [1.5e308, 1.5e308])
+
+
 class TestSubdiffLambdaMax:
     def test_smooth_singleton_gradient(self):
         fam = AffineFamily(np.diag([2.0, 1.0]), build_diagonal(2))

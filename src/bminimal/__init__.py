@@ -42,9 +42,7 @@ from .hermitian import (
 )
 from .minimality import (
     Certificate,
-    ExtremalSpaces,
     MinimalityReport,
-    build_certificate,
     check_minimal,
     construct_minimal,
     is_support_pair,

@@ -19,6 +19,9 @@ from .hermitian import (
     INPUT_TOL,
     STRUCTURE_TOL,
     _as_hermitian_stack,
+    _require_count,
+    _require_finite,
+    _require_shape,
     _require_tol,
     as_hermitian,
     frobenius,
@@ -86,8 +89,7 @@ class SubalgebraBasis:
         """The traces (tr(B_k X))_k of an n x n matrix X; real up to rounding
         when X is Hermitian."""
         mat = np.asarray(x)
-        if mat.shape != (self.n, self.n):
-            raise ValueError(f"shape {mat.shape} does not match basis ambient n = {self.n}")
+        _require_shape(mat, (self.n, self.n), "x", f"basis n = {self.n}")
         rows, cols = self.support
         return self.table @ mat[cols, rows]
 
@@ -144,8 +146,7 @@ class SubalgebraBasis:
 
 def build_diagonal(n: int) -> SubalgebraBasis:
     """Rank-one diagonal projections e_i e_i*, the standard basis of D_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_count(n, "n")
     idx = np.arange(n)
     return SubalgebraBasis._trusted(n, (idx, idx), np.eye(n, dtype=complex))
 
@@ -163,8 +164,10 @@ def build_block(pattern: list[tuple[int, str]], n: int | None = None) -> Subalge
     if not pattern:
         raise InvalidPattern("pattern must contain at least one block")
     for size, kind in pattern:
-        if size < 1:
-            raise InvalidPattern(f"block sizes must be positive, got {size}")
+        try:
+            _require_count(size, "block size")
+        except ValueError as err:
+            raise InvalidPattern(str(err)) from None
         if kind not in ("diagonal", "full"):
             raise InvalidPattern(f"unknown block kind {kind!r}")
     total = sum(size for size, _ in pattern)
@@ -207,8 +210,7 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
     factors, factor j being Z when bit j-1 of k is set and I otherwise, so
     each element is diagonal with entries +-1/sqrt(n).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _require_count(q, "q")
     n = 2**q
     # Row b of ``factors`` is the diagonal of I (b = 0) or Z (b = 1).
     factors = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -257,18 +259,18 @@ def orthonormalize(raw: list) -> SubalgebraBasis:
 
 
 def compress(rho, basis: SubalgebraBasis) -> np.ndarray:
-    """Coordinates (tr(rho B_1), ..., tr(rho B_t)) of rho against the basis.
+    """Coordinates (tr(rho B_1), ..., tr(rho B_t)) of a finite n x n rho.
 
     For Hermitian rho the traces are real; imaginary residue above INPUT_TOL
     times the Frobenius norm of rho signals a broken input and raises.
     """
     mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (basis.n, basis.n):
-        raise ValueError(f"shape {mat.shape} does not match basis ambient n = {basis.n}")
+    _require_shape(mat, (basis.n, basis.n), "rho", f"basis n = {basis.n}")
+    _require_finite(mat, "rho")
     coords = basis.coords(mat)
     imag = float(np.max(np.abs(coords.imag))) if coords.size else 0.0
     if imag > INPUT_TOL * frobenius(mat):
-        raise ValueError(f"coordinates have imaginary residue {imag:.3e}; input not Hermitian?")
+        raise ValueError(f"rho is not Hermitian: its coordinates have imaginary residue {imag:.3e}")
     return coords.real.copy()
 
 

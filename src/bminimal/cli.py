@@ -30,7 +30,7 @@ from .minimality import (
     construct_minimal,
     is_support_pair,
 )
-from .moment import FWConfig, compress_family, sample_extreme
+from .moment import FWConfig, Subspace, compress_family, sample_extreme
 from .variational import AffineFamily, SolverConfig, best_approximation, directional_derivative
 
 logger = logging.getLogger("bminimal")
@@ -83,6 +83,19 @@ def resolve_algebra(spec: str, n_hint: int | None = None) -> SubalgebraBasis:
     return bio.algebra_from_doc(doc, n_hint=n_hint)
 
 
+def _load_matrix(args: argparse.Namespace) -> tuple[np.ndarray, SubalgebraBasis]:
+    """The --matrix document's matrix and the --algebra basis for its size."""
+    a = bio.matrix_from_doc(_load_json(args.matrix))
+    return a, resolve_algebra(args.algebra, n_hint=a.shape[0])
+
+
+def _load_frames(args: argparse.Namespace) -> tuple[Subspace, Subspace, SubalgebraBasis]:
+    """The --v-frame and --w-frame subspaces and the --algebra basis for V's size."""
+    v = bio.frame_from_doc(_load_json(args.v_frame))
+    w = bio.frame_from_doc(_load_json(args.w_frame))
+    return v, w, resolve_algebra(args.algebra, n_hint=v.n)
+
+
 def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
     parts = [p for p in text.split(",") if p.strip() != ""]
     vec = np.array([float(p) for p in parts], dtype=float)
@@ -111,8 +124,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    a = bio.matrix_from_doc(_load_json(args.matrix))
-    basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
+    a, basis = _load_matrix(args)
     started = time.perf_counter()
     report = check_minimal(a, basis, _fw_config(args))
     elapsed = time.perf_counter() - started
@@ -125,8 +137,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
-    a = bio.matrix_from_doc(_load_json(args.matrix))
-    basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
+    a, basis = _load_matrix(args)
     report = check_minimal(a, basis, _fw_config(args))
     if report.verdict != MINIMAL:
         sys.stderr.write(f"no certificate: verdict is {report.verdict}\n")
@@ -145,9 +156,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 
 def _cmd_support(args: argparse.Namespace) -> int:
-    v = bio.frame_from_doc(_load_json(args.v_frame))
-    w = bio.frame_from_doc(_load_json(args.w_frame))
-    basis = resolve_algebra(args.algebra, n_hint=v.n)
+    v, w, basis = _load_frames(args)
     try:
         answer = is_support_pair(v, w, basis, _fw_config(args))
     except Undecided as err:
@@ -158,9 +167,7 @@ def _cmd_support(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    v = bio.frame_from_doc(_load_json(args.v_frame))
-    w = bio.frame_from_doc(_load_json(args.w_frame))
-    basis = resolve_algebra(args.algebra, n_hint=v.n)
+    v, w, basis = _load_frames(args)
     rest = bio.matrix_from_doc(_load_json(args.rest)) if args.rest else None
     m = construct_minimal(v, w, args.lam, rest, basis, _fw_config(args))
     _emit(bio.dumps(bio.matrix_to_doc(m)) + "\n", args.output)
@@ -168,8 +175,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_approx(args: argparse.Namespace) -> int:
-    a = bio.matrix_from_doc(_load_json(args.matrix))
-    basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
+    a, basis = _load_matrix(args)
     fam = AffineFamily(a, basis)
     x0 = np.zeros(fam.t) if args.x0 is None else _parse_vector(args.x0, fam.t, "--x0")
     cfg = SolverConfig(max_iter=args.max_iter, fw=FWConfig(gap_tol=args.gap_tol, dist_tol=args.tol))
@@ -185,8 +191,7 @@ def _cmd_best_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_dirderiv(args: argparse.Namespace) -> int:
-    a = bio.matrix_from_doc(_load_json(args.matrix))
-    basis = resolve_algebra(args.algebra, n_hint=a.shape[0])
+    a, basis = _load_matrix(args)
     fam = AffineFamily(a, basis)
     x = np.zeros(fam.t) if args.x is None else _parse_vector(args.x, fam.t, "--x")
     w = _parse_vector(args.w, fam.t, "--w")

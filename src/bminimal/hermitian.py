@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -27,10 +28,35 @@ _MAX_SWEEPS = 100
 _NORM_FLOOR = 2.0**-511
 
 
+# The operand rules: every public entry checks its operands through these, so
+# each kind of bad operand is refused one way, by name, everywhere.
 def _require_tol(tol: float, name: str) -> None:
     """Refuse a tolerance that is NaN, infinite, zero or negative, naming it."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerances must be positive and finite: {name} is {tol!r}")
+
+
+def _require_count(value, name: str, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= ``least``, naming it; a bool
+    or an integral float is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_finite(arr, name: str) -> None:
+    """Refuse an array with a NaN or infinite entry, naming it and the entry."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        k = tuple(map(int, np.unravel_index(bad.argmax(), bad.shape)))
+        where = k[0] if len(k) == 1 else k
+        raise ValueError(f"{name} must be finite: entry {where} is {arr[k]}")
+
+
+def _require_shape(value, shape: tuple, what: str, against: str) -> None:
+    """Refuse an operand ``what`` whose shape is not ``shape``, before any
+    product or eigensolve; ``against`` names what fixes the shape."""
+    if np.shape(value) != shape:
+        raise ValueError(f"{what} of shape {np.shape(value)} does not match {against}")
 
 
 def symmetrize(x) -> np.ndarray:
@@ -68,10 +94,8 @@ def as_hermitian(a) -> np.ndarray:
     then returns the exactly Hermitian average (A + A*)/2.
     """
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("expected a nonempty matrix")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
     return _as_hermitian_stack(arr[np.newaxis])[0]
 
 

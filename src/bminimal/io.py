@@ -97,14 +97,6 @@ def frame_from_doc(doc: dict[str, Any]) -> Subspace:
     return Subspace.from_span(_pairs(cols, (len(cols), n), "frame document columns").T)
 
 
-def algebra_to_doc(basis: SubalgebraBasis) -> dict[str, Any]:
-    return {
-        "kind": "custom",
-        "n": basis.n,
-        "elements": [matrix_to_doc(e) for e in basis.elements],
-    }
-
-
 def algebra_from_doc(doc: dict[str, Any], n_hint: int | None = None) -> SubalgebraBasis:
     """The basis an algebra document names, the one dispatch onto the
     ``build_*`` functions.  ``n_hint``, the size of the input the basis is

@@ -27,6 +27,7 @@ from .errors import (
 from .hermitian import (
     STRUCTURE_TOL,
     EigenDecomposition,
+    _require_shape,
     _require_tol,
     abs_hermitian,
     cluster_eigenvalues,
@@ -179,14 +180,6 @@ def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (u * np.abs(w)) @ u.conj().T
 
 
-def _require_size(m, n: int, what: str) -> None:
-    """Refuse an operand that is not n x n for a basis of size n, before it
-    is decomposed or multiplied; ``what`` names the operand."""
-    shape = np.shape(m)
-    if shape != (n, n):
-        raise ValueError(f"{what} of shape {shape} does not match basis n = {n}")
-
-
 def _require_same_size(v: Subspace, w: Subspace) -> None:
     if v.n != w.n:
         raise ValueError(f"frames of different sizes: V has {v.n} rows, W has {w.n}")
@@ -200,8 +193,8 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     A X cannot overflow or underflow.  A and X must both be n x n for the
     basis's n, and tol positive and finite (ValueError otherwise)."""
     _require_tol(tol, "tol")
-    _require_size(a, basis.n, "matrix")
-    _require_size(x, basis.n, "certificate")
+    _require_shape(a, (basis.n, basis.n), "matrix", f"basis n = {basis.n}")
+    _require_shape(x, (basis.n, basis.n), "certificate", f"basis n = {basis.n}")
     dec = eig_hermitian(a)
     mat, e = unit_scaled(dec.matrix)
     norm_a = math.ldexp(dec.norm, -e)
@@ -230,7 +223,7 @@ def check_minimal(
     """
     if not contains_identity(basis):
         raise NonUnitalBasis("minimality tests require the identity in the span")
-    _require_size(a, basis.n, "matrix")
+    _require_shape(a, (basis.n, basis.n), "matrix", f"basis n = {basis.n}")
     return _verdict(_decompose(a), basis, cfg)
 
 

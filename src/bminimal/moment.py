@@ -14,7 +14,6 @@ soon as it is definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +22,9 @@ from .errors import Undecided
 from .hermitian import (
     STRUCTURE_TOL,
     _bottom_eigpair,
+    _require_count,
+    _require_finite,
+    _require_shape,
     _require_tol,
     eig_hermitian,
     frobenius,
@@ -46,8 +48,7 @@ class Subspace:
         q = np.asarray(self.frame, dtype=complex)
         if q.ndim != 2 or q.shape[1] < 1 or q.shape[1] > q.shape[0]:
             raise ValueError(f"expected an n x r frame with 1 <= r <= n, got {q.shape}")
-        if not np.all(np.isfinite(q.real)) or not np.all(np.isfinite(q.imag)):
-            raise ValueError("frame entries must be finite")
+        _require_finite(q, "frame")
         gram = q.conj().T @ q
         if frobenius(gram - np.eye(q.shape[1])) > STRUCTURE_TOL:
             raise ValueError("frame columns are not orthonormal")
@@ -71,9 +72,12 @@ class Subspace:
 
     @classmethod
     def from_span(cls, vectors) -> "Subspace":
-        """Orthonormalize spanning columns; rejects them as rank-deficient when
-        an R diagonal entry is at most STRUCTURE_TOL times the largest entry."""
+        """Orthonormalize one or more finite spanning columns; rejects them as
+        rank-deficient when an R diagonal entry is at most STRUCTURE_TOL times
+        the largest entry."""
         v = np.atleast_2d(np.asarray(vectors, dtype=complex))
+        _require_count(v.shape[1], "the number of spanning columns")
+        _require_finite(v, "spanning columns")
         if v.shape[0] < v.shape[1]:
             raise ValueError("more columns than ambient dimension")
         q, r = np.linalg.qr(v)
@@ -91,21 +95,6 @@ class CompressedFamily:
     mats: np.ndarray  # (t, r, r) Hermitian stack
 
 
-def _require_finite(vec: np.ndarray, name: str) -> None:
-    """Refuse a vector with a NaN or infinite entry, naming it and the entry."""
-    bad = ~np.isfinite(vec)
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(f"{name} must be finite: entry {k} is {vec[k]}")
-
-
-def _require_max_iter(max_iter) -> None:
-    """Refuse an iteration budget that is not an integer >= 1; a bool or an
-    integral float is not an integer here."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
-        raise ValueError("max_iter must be an integer >= 1")
-
-
 @dataclass(frozen=True)
 class FWConfig:
     """Budget for the Frank-Wolfe feasibility solve."""
@@ -117,7 +106,7 @@ class FWConfig:
     def __post_init__(self):
         _require_tol(self.gap_tol, "gap_tol")
         _require_tol(self.dist_tol, "dist_tol")
-        _require_max_iter(self.max_iter)
+        _require_count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -139,18 +128,17 @@ class FWResult:
 
 
 def compress_family(s: Subspace, basis: SubalgebraBasis) -> CompressedFamily:
-    """Compress each basis element to the frame: mats[k] = Q* B_k Q."""
-    if s.n != basis.n:
-        raise ValueError(f"subspace ambient {s.n} does not match basis ambient {basis.n}")
+    """Compress each basis element to an n-row frame: mats[k] = Q* B_k Q."""
+    _require_shape(s.frame, (basis.n, s.r), "frame", f"basis n = {basis.n}")
     return CompressedFamily(subspace=s, mats=basis.compress_to(s.frame))
 
 
 def moment_of_density(fam: CompressedFamily, r) -> np.ndarray:
-    """Moment coordinates of the density matrix R given in frame coordinates."""
+    """Moment coordinates of a finite r x r density matrix R in frame coordinates."""
     rho = np.asarray(r, dtype=complex)
     dim = fam.subspace.r
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected an {dim} x {dim} density matrix, got {rho.shape}")
+    _require_shape(rho, (dim, dim), "density matrix r", f"frame r = {dim}")
+    _require_finite(rho, "density matrix r")
     return np.real(np.einsum("kij,ji->k", fam.mats, rho))
 
 
@@ -159,9 +147,10 @@ def sample_extreme(fam: CompressedFamily, count: int, seed: int) -> np.ndarray:
 
     Sample i uses its own generator seeded with seed + i, so the set of
     points is independent of evaluation order.  Returns a (count, t) array.
+    ``count`` must be an integer >= 1 and ``seed`` an integer >= 0.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _require_count(count, "count")
+    _require_count(seed, "seed", least=0)
     dim = fam.subspace.r
     points = np.empty((count, fam.mats.shape[0]))
     if dim == 1:
@@ -184,8 +173,7 @@ def support_function(fam: CompressedFamily, w) -> float:
     be finite, and small enough that the combination is finite.
     """
     vec = np.asarray(w, dtype=float)
-    if vec.shape != (fam.mats.shape[0],):
-        raise ValueError(f"direction length {vec.shape} does not match t = {fam.mats.shape[0]}")
+    _require_shape(vec, (fam.mats.shape[0],), "direction w", f"basis t = {fam.mats.shape[0]}")
     _require_finite(vec, "direction w")
     with np.errstate(over="ignore", invalid="ignore"):
         combined = np.einsum("k,kij->ij", vec, fam.mats)
@@ -241,8 +229,6 @@ def moment_distance(
     and the reason it stopped; its distance is recomputed from the
     witnesses.
     """
-    if s1.n != s2.n:
-        raise ValueError("subspaces live in different ambient dimensions")
     fam1 = compress_family(s1, basis)
     fam2 = compress_family(s2, basis)
     flat1 = fam1.mats.reshape(basis.dim, -1)

@@ -21,6 +21,9 @@ from .algebra import SubalgebraBasis, compress
 from .errors import NormNotTwoSided
 from .hermitian import (
     EigenDecomposition,
+    _require_count,
+    _require_finite,
+    _require_shape,
     as_hermitian,
     cluster_eigenvalues,
     default_cluster_tol,
@@ -32,8 +35,6 @@ from .moment import (
     CompressedFamily,
     FWConfig,
     Subspace,
-    _require_finite,
-    _require_max_iter,
     compress_family,
     support_function,
 )
@@ -53,10 +54,9 @@ class AffineFamily:
     basis: SubalgebraBasis
 
     def __post_init__(self):
-        mat = as_hermitian(self.a0)
-        if mat.shape[0] != self.basis.n:
-            raise ValueError("base point and basis ambient dimensions differ")
-        object.__setattr__(self, "a0", mat)
+        n = self.basis.n
+        _require_shape(self.a0, (n, n), "a0", f"basis n = {n}")
+        object.__setattr__(self, "a0", as_hermitian(self.a0))
 
     @property
     def t(self) -> int:
@@ -66,8 +66,7 @@ class AffineFamily:
         """A(x); x must be a finite real vector of length t, and small enough
         that A(x) is finite (ValueError naming x otherwise)."""
         vec = np.asarray(x, dtype=float)
-        if vec.shape != (self.t,):
-            raise ValueError(f"expected x of length {self.t}, got shape {vec.shape}")
+        _require_shape(vec, (self.t,), "x", f"basis t = {self.t}")
         _require_finite(vec, "x")
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.a0 + self.basis.combine(vec)
@@ -108,7 +107,7 @@ class SolverConfig:
     fw: FWConfig = field(default_factory=FWConfig)
 
     def __post_init__(self):
-        _require_max_iter(self.max_iter)
+        _require_count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,7 @@ def best_approximation(
     otherwise the cap is reported.  Steps scale with the start norm.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (fam.t,):
-        raise ValueError(f"expected x0 of length {fam.t}, got shape {x.shape}")
+    _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
 
     # seed the search with the start point, the unperturbed point, and the
     # Frobenius projection of A0 onto the span, skipping a candidate equal to

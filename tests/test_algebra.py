@@ -374,7 +374,7 @@ class TestBasisMaps:
             path.name for path in src.glob("*.py")
             if re.search(r"\.elements\b", path.read_text())
         )
-        assert readers == ["algebra.py", "io.py"]
+        assert readers == ["algebra.py"]
 
 
 class TestSupportStorage:

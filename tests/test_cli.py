@@ -187,6 +187,18 @@ class TestMoment:
                                                       [[2.0, 0.0], [0.0, 0.0]]]}))
         assert main(["moment", "--frame", str(bad), "--algebra", "diag"]) == 2
 
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--samples", "0", "count must be an integer >= 1, got 0"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ], ids=["samples", "seed"])
+    def test_bad_count_exit_two(self, tmp_path, capsys, flag, value, text):
+        # rank one too, where no sample draws from the seed
+        for name, cols in [("s", [[IV, IV, 0], [0, 0, 1]]), ("v", [[IV, -IV, 0]])]:
+            frame = write_frame(tmp_path / f"{name}.json", cols)
+            assert main(["moment", "--frame", frame, "--algebra", "diag", flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {text}\n"
+
 
 class TestSupport:
     def test_true_pair(self, tmp_path, capsys):
@@ -628,6 +640,12 @@ class TestNonFiniteValues:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {name} must be finite: entry 1 is {value}\n"
+
+    def test_vector_length(self, m1_file, capsys):
+        code = main(["dirderiv", "--matrix", m1_file, "--algebra", "diag", "--w", "1,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --w has 2 entries, expected 3\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_lam(self, tmp_path, capsys, value):

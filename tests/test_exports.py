@@ -6,12 +6,12 @@ import bminimal
 # A name added to or removed from ``bminimal`` is a decision recorded here.
 EXPORTS = [
     "AffineFamily", "BMinError", "BestApproxResult", "Certificate", "CompressedFamily",
-    "EigenDecomposition", "EmptySpan", "ExtremalSpaces", "FWConfig", "FWResult",
+    "EigenDecomposition", "EmptySpan", "FWConfig", "FWResult",
     "InvalidPattern", "MinimalityReport", "NonConvergence", "NonUnitalBasis",
     "NormNotTwoSided", "NotOrthogonal", "NotSupportPair", "PerturbationOverlapsSupport",
     "PerturbationTooLarge", "SolverConfig", "SpanMismatch", "SubalgebraBasis",
     "SubdifferentialView", "Subspace", "Undecided", "ZeroMatrix", "abs_hermitian",
-    "as_hermitian", "best_approximation", "build_block", "build_certificate",
+    "as_hermitian", "best_approximation", "build_block",
     "build_diagonal", "build_pauli_diagonal", "change_of_basis", "check_minimal",
     "cluster_eigenvalues", "compress", "compress_family", "construct_minimal",
     "contains_identity", "decide", "directional_derivative", "eig_hermitian",

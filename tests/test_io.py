@@ -137,7 +137,7 @@ class TestAlgebraDocuments:
 
     def test_custom_round_trip(self):
         basis = build_pauli_diagonal(2)
-        doc = bio.algebra_to_doc(basis)
+        doc = {"kind": "custom", "elements": [bio.matrix_to_doc(e) for e in basis.elements]}
         back = bio.algebra_from_doc(json.loads(bio.dumps(doc)))
         assert back.dim == basis.dim
         for a, b in zip(back.elements, basis.elements):

@@ -110,38 +110,22 @@ class SubalgebraBasis:
         missed = self.n - int(np.count_nonzero(on_diag))
         return float(np.sqrt(frobenius(residual) ** 2 + missed))
 
-    @cached_property
-    def _by_row(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support laid out by rows: the rank p of each entry among the
-        entries of its row, and ``cols[p, i]``, the column of the p-th entry
-        of row i (0 where row i has fewer)."""
-        rows, cols = self.support
-        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        by_row = np.zeros((int(rank.max()) + 1, self.n), dtype=np.intp)
-        by_row[rank, rows] = cols
-        return rank, by_row
-
-    def _apply(self, q: np.ndarray) -> np.ndarray:
-        """The (t, n, r) stack B_k Q, summed over the support laid out by rows.
-
-        An element with at most one nonzero per row (every builder's) gets
-        each entry as one product, exactly."""
-        rank, cols = self._by_row
-        coef = np.zeros((len(cols), self.dim, self.n, 1, 1), dtype=complex)
-        coef[rank, :, self.support[0], 0, 0] = self.table.T
-        # (t, n, 1, 1) @ (n, 1, r): one product per entry, without the
-        # temporaries of a broadcast multiply
-        bq = coef[0] @ q[cols[0], None]
-        for j, c in zip(cols[1:], coef[1:]):
-            bq += c @ q[j, None]
-        return bq[:, :, 0]
-
     def compress_to(self, frame) -> np.ndarray:
-        """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q,
-        computed as Q* (B_k Q): for a builder's basis it matches the dense
-        product bit for bit."""
+        """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q.
+
+        Entry s = (i, j) of the support adds table[k, s] times the outer
+        product conj(Q[i, :])ᵀ Q[j, :] to element k.  The support is taken t
+        entries at a time, so no temporary outgrows the result."""
         q = np.asarray(frame)
-        return symmetrize(q.conj().T @ self._apply(q))
+        rows, cols = self.support
+        t, r = self.dim, q.shape[1]
+        out = np.zeros((t, r * r), dtype=complex)
+        for start in range(0, rows.size, t):
+            part = slice(start, start + t)
+            outer = (q[rows[part], :, None].conj() * q[cols[part], None, :]).reshape(-1, r * r)
+            out += self.table[:, part] @ outer
+            del outer  # freed before the next chunk's is built
+        return symmetrize(out.reshape(t, r, r))
 
 
 def build_diagonal(n: int) -> SubalgebraBasis:
@@ -318,8 +302,9 @@ def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> n
 
 
 def in_trace_orthocomplement(x, basis: SubalgebraBasis, tol: float) -> bool:
-    """True iff max_k |tr(X B_k)| <= tol * ||X||_F, so X and cX agree; tol
-    must be positive and finite."""
+    """True iff max_k |tr(X B_k)| <= tol * ||X||_F, so X and cX agree; X
+    must be finite, and tol positive and finite."""
     _require_tol(tol, "tol")
     mat = np.asarray(x, dtype=complex)
+    _require_finite(mat, "x")
     return float(np.max(np.abs(basis.coords(mat)))) <= tol * frobenius(mat)

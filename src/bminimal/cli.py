@@ -23,6 +23,7 @@ import numpy as np
 from . import io as bio
 from .algebra import SubalgebraBasis
 from .errors import BMinError, Undecided
+from .hermitian import _require_count
 from .minimality import (
     MINIMAL,
     NOT_MINIMAL,
@@ -147,6 +148,8 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
+    _require_count(args.samples, "--samples")
+    _require_count(args.seed, "--seed", least=0)
     subspace = bio.frame_from_doc(_load_json(args.frame))
     basis = resolve_algebra(args.algebra, n_hint=subspace.n)
     fam = compress_family(subspace, basis)

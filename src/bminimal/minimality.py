@@ -27,6 +27,7 @@ from .errors import (
 from .hermitian import (
     STRUCTURE_TOL,
     EigenDecomposition,
+    _require_finite,
     _require_shape,
     _require_tol,
     abs_hermitian,
@@ -191,10 +192,11 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
     tol * ||A|| ||X||_F, so (cA, dX) gets the answer of (A, X).  The checks
     run on A and X scaled by their own powers of two (``unit_scaled``), so
     A X cannot overflow or underflow.  A and X must both be n x n for the
-    basis's n, and tol positive and finite (ValueError otherwise)."""
+    basis's n, X finite, and tol positive and finite (ValueError otherwise)."""
     _require_tol(tol, "tol")
     _require_shape(a, (basis.n, basis.n), "matrix", f"basis n = {basis.n}")
     _require_shape(x, (basis.n, basis.n), "certificate", f"basis n = {basis.n}")
+    _require_finite(np.asarray(x), "certificate")
     dec = eig_hermitian(a)
     mat, e = unit_scaled(dec.matrix)
     norm_a = math.ldexp(dec.norm, -e)

@@ -20,6 +20,7 @@ from bminimal.algebra import (
 )
 from bminimal.errors import EmptySpan, InvalidPattern, SpanMismatch
 from bminimal.hermitian import as_hermitian
+from bminimal.moment import Subspace, compress_family
 from oracles import rand_hermitian
 from suites import SCALES
 
@@ -403,6 +404,19 @@ class TestSupportStorage:
             tracemalloc.stop()
         assert peak <= 1.5 * basis.table.nbytes
 
+    def test_compress_family_peak_memory(self):
+        # the (256, 2, 2) result is 16 KiB; a (t, n, r) stack of B_k Q would be 2 MiB
+        basis = build_pauli_diagonal(8)
+        frame = Subspace.from_span(np.random.default_rng(53).standard_normal((basis.n, 2)))
+        tracemalloc.start()
+        try:
+            fam = compress_family(frame, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fam.mats.shape == (256, 2, 2)
+        assert peak <= 256 * 2**10
+
     @pytest.mark.parametrize("build, arg, size", [
         (build_diagonal, 5, 5),
         (build_pauli_diagonal, 3, 8),
@@ -466,16 +480,6 @@ class TestAgainstDenseStack:
         residual = np.linalg.norm(eye - np.einsum("k,kij->ij", np.einsum("kii->k", stack), stack))
         assert abs(basis._identity_residual - residual) <= 1e-12
         assert contains_identity(basis) == (residual <= 1e-10 * np.sqrt(n))
-
-    def test_builder_compression_is_exact(self):
-        # one nonzero per row: B_k Q is exact, so Q* (B_k Q) is the dense product
-        rng = np.random.default_rng(47)
-        for basis in (build_diagonal(6), build_pauli_diagonal(3),
-                      build_block([(2, "diagonal"), (3, "full")])):
-            q, _ = np.linalg.qr(rng.standard_normal((basis.n, 2))
-                                + 1j * rng.standard_normal((basis.n, 2)))
-            mats = q.conj().T @ (basis.elements @ q)
-            assert np.array_equal(basis.compress_to(q), (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2)
 
     def test_custom_keeps_its_support(self):
         basis = orthonormalize([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])

@@ -188,8 +188,8 @@ class TestMoment:
         assert main(["moment", "--frame", str(bad), "--algebra", "diag"]) == 2
 
     @pytest.mark.parametrize("flag, value, text", [
-        ("--samples", "0", "count must be an integer >= 1, got 0"),
-        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("--samples", "0", "--samples must be an integer >= 1, got 0"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
     ], ids=["samples", "seed"])
     def test_bad_count_exit_two(self, tmp_path, capsys, flag, value, text):
         # rank one too, where no sample draws from the seed

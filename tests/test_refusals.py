@@ -113,6 +113,10 @@ CASES = [
      "tol is 0.0"),
     ("orthocomplement-shape", lambda: in_trace_orthocomplement(np.eye(2), D3, 1e-9),
      ValueError, "x of shape (2, 2)"),
+    ("orthocomplement-nan", lambda: in_trace_orthocomplement(np.full((3, 3), np.nan), D3, 1e-9),
+     ValueError, "x must be finite: entry (0, 0) is"),
+    ("orthocomplement-inf", lambda: in_trace_orthocomplement(bad_entry(np.inf, (1, 2)), D3, 1e-9),
+     ValueError, "x must be finite: entry (1, 2) is"),
     # moment
     ("subspace-shape", lambda: Subspace(frame=np.eye(2, 3)), ValueError, "frame"),
     ("subspace-nan", lambda: Subspace(frame=np.array([[np.nan], [1.0]])), ValueError,
@@ -165,6 +169,10 @@ CASES = [
      "matrix of shape (4, 4)"),
     ("validate-certificate", lambda: validate_certificate(M1, np.eye(2), D3, 1e-9), ValueError,
      "certificate of shape (2, 2) does not match basis"),
+    ("validate-certificate-nan", lambda: validate_certificate(M1, np.full((3, 3), np.nan), D3, 1e-9),
+     ValueError, "certificate must be finite: entry (0, 0) is"),
+    ("validate-certificate-inf", lambda: validate_certificate(M1, bad_entry(np.inf, (2, 0)), D3, 1e-9),
+     ValueError, "certificate must be finite: entry (2, 0) is"),
     ("support_pair-unital", lambda: is_support_pair(V, W, NON_UNITAL), NonUnitalBasis,
      "unital"),
     ("support_pair-sizes", lambda: is_support_pair(V4, W, build_diagonal(4)), ValueError,

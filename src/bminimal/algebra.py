@@ -196,20 +196,13 @@ def build_pauli_diagonal(q: int) -> SubalgebraBasis:
     """
     _require_count(q, "q")
     n = 2**q
-    # Row b of ``factors`` is the diagonal of I (b = 0) or Z (b = 1).
-    factors = np.array([[1.0, 1.0], [1.0, -1.0]])
-    signs = np.ones((1, 1))
-    table = np.empty((n, n), dtype=complex)
-    for j in range(1, q + 1):
-        # Tensor factor j is picked by bit j-1 of k (the row block b) and
-        # is the innermost Kronecker factor so far of every row.  The last,
-        # scaled, goes straight into the complex table: no float copy of it.
-        m = 2 ** (j - 1)
-        if j < q:
-            signs = (factors[:, None, None, :] * signs[None, :, :, None]).reshape(2 * m, 2 * m)
-        else:
-            np.multiply(factors[:, None, None, :] / np.sqrt(n), signs[None, :, :, None],
-                        out=table.reshape(2, m, m, 2))
+    # Entry i of element k is -1/sqrt(n) exactly when an odd number of the
+    # factors j are Z (bit j-1 of k) at a -1 of their diagonal (bit q-j of i),
+    # counted by one exact float32 product; imaginary parts stay +0.0.
+    bits = ((np.arange(n)[:, None] >> np.arange(q)) & 1).astype(np.float32)
+    odd = (bits @ bits[:, ::-1].T).astype(np.uint8) & 1 == 1
+    table = np.full((n, n), 1.0 / np.sqrt(n), dtype=complex)
+    table.real[odd] = -1.0 / np.sqrt(n)
     idx = np.arange(n)
     return SubalgebraBasis._trusted(n, (idx, idx), table)
 
@@ -278,22 +271,20 @@ def verify_closed(basis: SubalgebraBasis) -> bool:
 def change_of_basis(from_basis: SubalgebraBasis, to_basis: SubalgebraBasis) -> np.ndarray:
     """Orthogonal t x t matrix C with C[k, i] = tr(to_k from_i).
 
-    Maps coordinates taken in ``from_basis`` to coordinates in ``to_basis``.
-    Raises SpanMismatch when the two bases do not span the same algebra
-    (a residual above STRUCTURE_TOL).
+    Maps coordinates taken in ``from_basis`` to coordinates in ``to_basis``,
+    reading both through ``coords`` and ``combine``.  Raises SpanMismatch
+    when the two bases do not span the same algebra (a residual above
+    STRUCTURE_TOL).
     """
     if from_basis.n != to_basis.n:
         raise SpanMismatch("ambient dimensions differ")
     if from_basis.dim != to_basis.dim:
         raise SpanMismatch("basis dimensions differ")
-    to_elems, from_elems = to_basis.elements, from_basis.elements
-    c = np.real(np.einsum("kij,lji->kl", to_elems, from_elems))
-    for direction, a, b, m in (
-        ("from", from_elems, to_elems, c),
-        ("to", to_elems, from_elems, c.T),
-    ):
-        recon = np.einsum("kl,kij->lij", m, b)
-        residual = float(max(frobenius(a[i] - recon[i]) for i in range(len(a))))
+    units = np.eye(from_basis.dim)
+    c = np.column_stack([to_basis.coords(from_basis.combine(e)).real for e in units])
+    pairs = (("from", from_basis, to_basis, c), ("to", to_basis, from_basis, c.T))
+    for direction, a, b, m in pairs:
+        residual = max(frobenius(a.combine(e) - b.combine(col)) for e, col in zip(units, m.T))
         if residual > STRUCTURE_TOL:
             raise SpanMismatch(
                 f"{direction}-basis element leaves the common span (residual {residual:.3e})"

@@ -20,6 +20,7 @@ import numpy as np
 from .algebra import SubalgebraBasis
 from .errors import Undecided
 from .hermitian import (
+    INPUT_TOL,
     STRUCTURE_TOL,
     _bottom_eigpair,
     _require_count,
@@ -134,11 +135,19 @@ def compress_family(s: Subspace, basis: SubalgebraBasis) -> CompressedFamily:
 
 
 def moment_of_density(fam: CompressedFamily, r) -> np.ndarray:
-    """Moment coordinates of a finite r x r density matrix R in frame coordinates."""
+    """Moment coordinates of a finite, Hermitian r x r density matrix R in
+    frame coordinates; ||R - R*||_F may be at most INPUT_TOL * ||R||_F."""
     rho = np.asarray(r, dtype=complex)
     dim = fam.subspace.r
     _require_shape(rho, (dim, dim), "density matrix r", f"frame r = {dim}")
     _require_finite(rho, "density matrix r")
+    # R - H(R) = (R - R*)/2 cannot overflow; norms are taken only if it is nonzero
+    half_skew = rho - symmetrize(rho)
+    if half_skew.any():
+        skew, norm = 2 * frobenius(half_skew), frobenius(rho)
+        if skew > INPUT_TOL * norm:
+            raise ValueError(f"density matrix r is not Hermitian: ||R - R*||_F = {skew:.3e} "
+                             f"exceeds {INPUT_TOL:.1e} * ||R||_F = {norm:.3e}")
     return np.real(np.einsum("kij,ji->k", fam.mats, rho))
 
 

@@ -36,6 +36,7 @@ from .moment import (
     FWConfig,
     Subspace,
     compress_family,
+    moment_of_density,
     support_function,
 )
 
@@ -79,11 +80,10 @@ class AffineFamily:
 class SubdifferentialView:
     """A subdifferential exposed as moment handles of extremal eigenspaces.
 
-    For the bottom eigenvalue the stored handle is the moment of its
-    eigenspace; the view itself is the negative of that set, and the sign
-    matters only when sets from both sides are combined.
-    ``support(w)`` returns the one-sided directional derivative of the
-    underlying function (top eigenvalue, bottom eigenvalue, or norm).
+    For the bottom eigenvalue the handle is the moment of its eigenspace, the
+    supergradients of the concave bottom eigenvalue; only the norm negates
+    it.  ``support(w)`` is the one-sided directional derivative of the
+    function: the greatest <w, .> over the view, the least for lambda_min.
     """
 
     kind: str
@@ -108,6 +108,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_count(self.max_iter, "max_iter")
+        if not isinstance(self.fw, FWConfig):
+            raise ValueError(f"fw must be an FWConfig, got {self.fw!r}")
 
 
 @dataclass(frozen=True)
@@ -121,27 +123,23 @@ class BestApproxResult:
     converged: bool
 
 
-def _extreme_space(dec: EigenDecomposition, top: bool) -> Subspace:
-    """The top (or bottom) eigenvalue cluster of a decomposition."""
+def _side(fam: AffineFamily, dec: EigenDecomposition, top: bool) -> CompressedFamily:
+    """``fam``'s basis compressed to the top (or bottom) eigenvalue cluster of dec."""
     frames = cluster_eigenvalues(dec)
-    return Subspace._trusted(frames[-1 if top else 0])
+    return compress_family(Subspace._trusted(frames[-1 if top else 0]), fam.basis)
 
 
 def subdiff_lambda_max(fam: AffineFamily, x) -> SubdifferentialView:
     """Subdifferential of the top eigenvalue: the moment of its eigenspace."""
-    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=True)
-    return SubdifferentialView(
-        kind=KIND_LAMBDA_MAX, moment_max=compress_family(space, fam.basis)
-    )
+    side = _side(fam, eig_hermitian(fam.evaluate(x)), top=True)
+    return SubdifferentialView(kind=KIND_LAMBDA_MAX, moment_max=side)
 
 
 def subdiff_lambda_min(fam: AffineFamily, x) -> SubdifferentialView:
-    """Bottom-eigenvalue counterpart; the handle stores the moment of the
-    bottom eigenspace and the view is its negative."""
-    space = _extreme_space(eig_hermitian(fam.evaluate(x)), top=False)
-    return SubdifferentialView(
-        kind=KIND_LAMBDA_MIN, moment_min=compress_family(space, fam.basis)
-    )
+    """Bottom-eigenvalue counterpart: the moment of the bottom eigenspace,
+    whose least <w, .> is ``support(w)``, the derivative along w."""
+    side = _side(fam, eig_hermitian(fam.evaluate(x)), top=False)
+    return SubdifferentialView(kind=KIND_LAMBDA_MIN, moment_min=side)
 
 
 def directional_derivative(fam: AffineFamily, x, w) -> float:
@@ -159,11 +157,9 @@ def subdiff_norm(fam: AffineFamily, x) -> SubdifferentialView:
     try:
         spaces = spectral_split(dec)
     except NormNotTwoSided:
-        top = dec.eigenvalues[-1] > -dec.eigenvalues[0]
-        moment = compress_family(_extreme_space(dec, top), fam.basis)
-        if top:
-            return SubdifferentialView(kind=KIND_NORM_MAX, moment_max=moment)
-        return SubdifferentialView(kind=KIND_NORM_MIN, moment_min=moment)
+        if dec.eigenvalues[-1] > -dec.eigenvalues[0]:
+            return SubdifferentialView(kind=KIND_NORM_MAX, moment_max=_side(fam, dec, True))
+        return SubdifferentialView(kind=KIND_NORM_MIN, moment_min=_side(fam, dec, False))
     return SubdifferentialView(
         kind=KIND_NORM_BOTH,
         moment_max=compress_family(spaces.plus, fam.basis),
@@ -188,14 +184,14 @@ def is_minimal_variational(
 def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, EigenDecomposition]:
     """||A(x)||, one subgradient of it, and the decomposition of A(x).
 
-    The subgradient is the mean moment of the extreme cluster's eigenvectors
-    on the active side (negated on the bottom side; ties go to the top): the
-    moment of its projector over its rank, whichever basis rounding picks.
+    The subgradient is the moment of I/r on the active side's extreme cluster
+    of rank r (negated on the bottom side; ties go to the top): the moment of
+    its projector over its rank, whichever basis rounding picks.
     """
     dec = eig_hermitian(fam.evaluate(x))
     top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
-    frame = _extreme_space(dec, top).frame
-    g = np.mean([fam.basis.coords(np.outer(v, v.conj())).real for v in frame.T], axis=0)
+    side = _side(fam, dec, top)
+    g = moment_of_density(side, np.eye(side.subspace.r, dtype=complex) / side.subspace.r)
     return dec.norm, (g if top else -g), dec
 
 
@@ -215,9 +211,9 @@ def best_approximation(
 ) -> BestApproxResult:
     """Minimize ||A(x)|| by subgradient descent with diminishing steps.
 
-    The Frobenius projection of A0 onto the span (x = -coordinates of A0)
-    is evaluated as a deterministic warm-start candidate alongside x0, and
-    iteration starts from the better of the two.  The best iterate is
+    Iteration starts from the best of x0, the unperturbed point x = 0 and
+    the Frobenius projection of A0 onto the span (x = -coordinates of A0),
+    the earliest of equals.  The best iterate is
     tracked throughout; convergence is declared when the check_minimal
     pipeline certifies the optimality condition 0 in d||A(x)|| at an
     improved iterate (or its norm falls to default_cluster_tol(||A0||)),
@@ -226,15 +222,12 @@ def best_approximation(
     x = np.asarray(x0, dtype=float).copy()
     _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
 
-    # seed the search with the start point, the unperturbed point, and the
-    # Frobenius projection of A0 onto the span, skipping a candidate equal to
-    # an earlier one (x0 = 0 is the unperturbed point); iterate from the best
-    candidates: list[np.ndarray] = []
-    for cand in (x, np.zeros(fam.t), -compress(fam.a0, fam.basis)):
-        if not any(np.array_equal(cand, prev) for prev in candidates):
-            candidates.append(cand)
-    evaluated = [_norm_and_subgradient(fam, cand) for cand in candidates]
-    a0_norm = next(f for cand, (f, _, _) in zip(candidates, evaluated) if not cand.any())
+    # a zero candidate reuses the unperturbed point's decomposition
+    at_zero = _norm_and_subgradient(fam, np.zeros(fam.t))
+    candidates = (x, np.zeros(fam.t), -compress(fam.a0, fam.basis))
+    evaluated = [_norm_and_subgradient(fam, cand) if cand.any() else at_zero
+                 for cand in candidates]
+    a0_norm = at_zero[0]
     pick = int(np.argmin([f for f, _, _ in evaluated]))
     x = candidates[pick]
     best_f, g, dec = evaluated[pick]

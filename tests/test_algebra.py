@@ -27,6 +27,16 @@ from suites import SCALES
 IV = 1 / np.sqrt(2)
 
 
+def pauli_row(k, q):
+    """The diagonal of Pauli string k on q qubits, unscaled, from its
+    definition: factor j is Z when bit j of k is set, the first outermost."""
+    diag = np.array([1.0])
+    for j in range(q):
+        factor = np.array([1.0, -1.0]) if (k >> j) & 1 else np.array([1.0, 1.0])
+        diag = np.kron(diag, factor)
+    return diag
+
+
 def rotated_basis_3():
     """The 45-degree rotated orthonormal basis of the diagonal 3x3 algebra."""
     return orthonormalize(
@@ -91,17 +101,19 @@ class TestBuilders:
         assert np.allclose(basis.elements[0].real, np.eye(2) / np.sqrt(2))
         assert np.allclose(basis.elements[1].real, np.diag([1.0, -1.0]) / np.sqrt(2))
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 9, 10])
     def test_pauli_matches_kronecker_definition(self, q):
         n = 2**q
-        expected = np.zeros((n, n, n), dtype=complex)
+        basis = build_pauli_diagonal(q)
+        # row by row, bytes included, so a -0.0 imaginary part fails
         for k in range(n):
-            diag = np.array([1.0])
-            for j in range(q):
-                factor = np.array([1.0, -1.0]) if (k >> j) & 1 else np.array([1.0, 1.0])
-                diag = np.kron(diag, factor)
-            expected[k] = np.diag(diag / np.sqrt(n))
-        assert np.array_equal(build_pauli_diagonal(q).elements, expected)
+            expected_row = (pauli_row(k, q) / np.sqrt(n)).astype(complex)
+            assert basis.table[k].tobytes() == expected_row.tobytes()
+        if q <= 5:  # the dense stack is 16 * 8^q bytes: 16 GiB at q = 10
+            expected = np.zeros((n, n, n), dtype=complex)
+            for k in range(n):
+                expected[k] = np.diag(pauli_row(k, q) / np.sqrt(n))
+            assert np.array_equal(basis.elements, expected)
 
     def test_pauli_spans_diagonal(self):
         # invertible change of basis exists, so the spans coincide
@@ -238,6 +250,20 @@ class TestChangeOfBasis:
             [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
         )
         assert np.allclose(c, walsh, atol=1e-15)
+
+    def test_walsh_for_pauli_6_without_dense_stacks(self):
+        d64, p6 = build_diagonal(64), build_pauli_diagonal(6)
+        tracemalloc.start()
+        try:
+            c = change_of_basis(d64, p6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        walsh = np.array([pauli_row(k, 6) for k in range(64)])
+        assert np.allclose(c, walsh / 8, rtol=0, atol=1e-15)
+        # one dense (64, 64, 64) complex stack is 4 MiB; the einsums over
+        # two of them peaked at 16.2 MiB
+        assert peak <= 12 * 2**20
 
     def test_identity_on_same_basis(self):
         basis = build_diagonal(3)

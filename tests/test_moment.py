@@ -97,6 +97,13 @@ class TestMomentOfDensity:
         fam = compress_family(Subspace(np.eye(4, dtype=complex)), basis)
         assert np.allclose(moment_of_density(fam, np.eye(4) / 4), np.full(4, 0.25))
 
+    def test_accepts_asymmetry_within_input_tol(self):
+        # ||R - R*||_F = 2e-13 * sqrt(2) against INPUT_TOL * ||R||_F = 1e-12 / sqrt(2)
+        fam = compress_family(subspace_s3(), build_diagonal(3))
+        rho = np.array([[0.5, 1e-13], [-1e-13, 0.5]])
+        assert np.allclose(moment_of_density(fam, rho), moment_of_density(fam, np.eye(2) / 2),
+                           rtol=0, atol=1e-15)
+
     def test_pauli_segment(self):
         fam = compress_family(
             span([1, 0, 0, 0], [0, 1, 0, 0]), build_pauli_diagonal(2)

@@ -140,6 +140,10 @@ CASES = [
      "density matrix r of shape (3, 3)"),
     ("moment_of_density-inf", lambda: moment_of_density(FAM, np.diag([1.0, np.inf])),
      ValueError, "density matrix r must be finite: entry (1, 1) is"),
+    ("moment_of_density-imaginary", lambda: moment_of_density(compress_family(LINE, D3), [[1j]]),
+     ValueError, "density matrix r is not Hermitian"),
+    ("moment_of_density-skew", lambda: moment_of_density(FAM, [[0.5, 1.0], [0.0, 0.5]]),
+     ValueError, "density matrix r is not Hermitian"),
     ("sample_extreme-count-0", lambda: sample_extreme(FAM, 0, 0), ValueError, "count"),
     ("sample_extreme-count-float", lambda: sample_extreme(FAM, 2.0, 0), ValueError, "count"),
     ("sample_extreme-count-bool", lambda: sample_extreme(FAM, True, 0), ValueError, "count"),
@@ -206,6 +210,7 @@ CASES = [
     ("evaluate-huge", lambda: AffineFamily(1e308 * np.eye(2), build_diagonal(2)).evaluate(
         [1e308, 0.0]), ValueError, "x is too large"),
     ("solver-max_iter", lambda: SolverConfig(max_iter=True), ValueError, "max_iter"),
+    ("solver-fw-none", lambda: SolverConfig(fw=None), ValueError, "fw must be an FWConfig"),
     ("best_approx-shape", lambda: best_approximation(AFF, np.zeros(2)), ValueError,
      "x0 of shape (2,)"),
     ("best_approx-nan", lambda: best_approximation(AFF, NAN_AT_1), ValueError,

@@ -336,6 +336,17 @@ class TestBestApproximation:
         assert result.converged
         assert certified(fam_x(), result)
 
+    def test_tied_start_goes_to_x0(self):
+        # B = span{diag(1, 1, 0), diag(0, 0, 1)} and A0 = diag(1, -1, 0), whose
+        # projection onto B is 0: A(x0) = diag(1, -1, 0.5) and A(0) are
+        # diagonal with norm exactly 1, the distance, so both starts are
+        # optimal, and the first of them, the nonzero x0, is the answer
+        basis = orthonormalize([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+        x0 = np.array([0.0, 0.5])
+        result = best_approximation(AffineFamily(np.diag([1.0, -1.0, 0.0]), basis), x0)
+        assert result.converged and result.dist == 1.0 and len(result.trace) == 1
+        assert np.array_equal(result.x_star, x0)
+
     def test_member_of_algebra(self):
         fam = AffineFamily(np.diag([1.0, 2.0]), build_diagonal(2))
         result = best_approximation(fam, np.zeros(2))

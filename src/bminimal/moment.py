@@ -7,8 +7,10 @@ extreme points, the exact support function (a top eigenvalue of the
 compressed family), and the Euclidean distance between two moments, decided
 by Frank-Wolfe over the product of density-matrix spectrahedra.  The
 Frank-Wolfe oracle is LAPACK's Hermitian eigensolver on the small partial
-gradients; callers that only need the verdict (``decide``) stop the solve as
-soon as it is definite.
+gradients, and a face polish of the witnesses (Newton steps on the faces of
+the two spectrahedra) settles the pairs whose nearest points Frank-Wolfe
+alone approaches sublinearly; callers that only need the verdict
+(``decide``) stop the solve as soon as it is definite.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ STOP_GAP_MET = "gap_met"      # the gap fell to cfg.gap_tol
 STOP_DECIDED = "decided"      # until_decided, and decide() was definite
 STOP_BUDGET = "budget"        # cfg.max_iter iterations ran
 STOP_ZERO_STEP = "zero_step"  # the step direction vanished
+
+# The face polish (_polish) runs on iterations 8, 16, 32, ... of a solve
+# whose frames have rank at most _POLISH_MAX_RANK.  Its steps grow like the
+# sixth power of the rank, and a face sheds at most one rank per step: at
+# rank 6 (pauli:5) one polish took as long as 120-170 Frank-Wolfe iterations.
+_POLISH_FIRST = 8
+_POLISH_MAX_RANK = 4
+_POLISH_STEPS = 8   # Newton steps per polish, at most
+# A squared Newton step this small ends a polish: the steps converge
+# quadratically, so the point it reaches is off by about its square.
+_POLISH_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,8 +128,9 @@ class FWResult:
     """Outcome of the moment-distance solve.
 
     ``distance`` is the Euclidean distance between the two witness images;
-    it is within sqrt(2 * gap) of the true set distance.  The witnesses are
-    density matrices in the coordinates of each subspace frame.
+    the true set distance lies between distance - gap / distance and
+    distance.  The witnesses are density matrices in the coordinates of each
+    subspace frame.
     ``stop_reason`` is one of the STOP_* values above.
     """
 
@@ -205,15 +219,110 @@ def decide(distance: float, gap: float, cfg: FWConfig) -> bool | None:
     with Frank-Wolfe gap ``gap``.
 
     True (the moments intersect) needs distance <= dist_tol with the gap
-    certificate met; False (disjoint) needs the gap-corrected lower bound
-    distance - sqrt(2 * gap) to clear dist_tol; anything in between is
-    None.
+    certificate met; False (disjoint) needs the separating-hyperplane bound
+    distance - gap / distance to clear dist_tol; anything in between is
+    None.  The bound holds because the gap certifies <d, a> >= ||d||^2 - gap
+    for every point a of the difference set, d the current difference.
     """
     if distance <= cfg.dist_tol and gap <= cfg.gap_tol:
         return True
-    if distance - np.sqrt(2.0 * max(gap, 0.0)) > cfg.dist_tol:
+    if distance * distance - max(gap, 0.0) > cfg.dist_tol * distance:
         return False
     return None
+
+
+def _face(flat: np.ndarray, rho: np.ndarray):
+    """The face of a density matrix: its eigenbasis B by decreasing
+    eigenvalue, the eigenvalues above STRUCTURE_TOL times the largest,
+    renormalized to unit trace (the rest are clipped), the family in that
+    basis (B* M_k B, from the flat (t, r*r) stack) and the moment of the
+    faced matrix."""
+    w, u = np.linalg.eigh(rho)
+    w, b = w[::-1], u[:, ::-1]
+    s0 = w[: np.count_nonzero(w > STRUCTURE_TOL * w[0])]
+    s0 = s0 / np.sum(s0)
+    r = b.shape[0]
+    mt = (flat @ (b.conj()[:, None, :, None] * b[None, :, None, :]).reshape(r * r, r * r)).reshape(-1, r, r)
+    return b, s0, mt, mt.diagonal(axis1=1, axis2=2)[:, : s0.size].real @ s0
+
+
+def _polish(flat1: np.ndarray, flat2: np.ndarray, r1, r2, dd: float):
+    """Witnesses no worse than (R1, R2), whose objective is dd = ||d||^2, or
+    None: Newton steps on the faces of the witnesses.
+
+    Near a face U (r x p, the kept eigenvectors, with U_perp the rest and S0
+    their eigenvalues) the densities of rank p are G (S0 + D) G* / tr with
+    G = U + U_perp Z, for traceless Hermitian D and (r-p) x p complex Z.  The
+    moments are affine in D, so on full-rank faces (no Z) one step solves
+    the least-squares problem for unit-trace Hermitian witnesses; Z rotates
+    a rank-deficient face.  A step minimizes the Gauss-Newton model of
+    ||phi1 - phi2||^2 / 2 plus the curvature of the Z chart, weighted by the
+    Frank-Wolfe oracle matrix, so pairs that lie apart converge as fast as
+    pairs that meet.  It is cut where S0 + D would leave the PSD cone; the
+    face that meets the cone loses that eigenvalue when the result is faced
+    again, so the faces shrink from the witnesses' full rank to the rank of
+    the nearest points.  The steps stop when one does not lower the
+    objective or is below _POLISH_STEP_TOL; the best faced witnesses are
+    returned if their objective is at most dd.
+    """
+    flats = (flat1, flat2)
+    faces = [_face(flat1, r1), _face(flat2, r2)]
+    best, best_dd, last = None, np.inf, False
+    for step in range(_POLISH_STEPS + 1):
+        f = faces[0][3] - faces[1][3]
+        ff = float(f @ f)
+        if ff >= best_dd:
+            break
+        best, best_dd = faces, ff
+        if last or step == _POLISH_STEPS:
+            break
+        # complex coordinates, side after side: the p x p entries of D, then
+        # Z.  Each row of the least-squares system is Re(row . coordinates):
+        # the moments' Jacobian, then the curvature of each Z chart as rows
+        # whose squares sum to it (its negative part is dropped)
+        m = sum(b.shape[0] * s0.size for b, s0, _, _ in faces)
+        cols, curv, at = [], [], 0
+        for sign, (b, s0, mt, _) in zip((1.0, -1.0), faces):
+            t, r, p = mt.shape[0], b.shape[0], s0.size
+            a = mt[:, :p, :p].reshape(t, p * p).copy()
+            a[:, :: p + 1] -= (a[:, :: p + 1].real.sum(axis=1) / p)[:, None]
+            cols += [sign * a, (2.0 * sign) * (mt[:, p:, :p] * s0).reshape(t, -1)]
+            lo, at = at + p * p, at + r * p
+            if p < r:
+                # the side's oracle matrix in its eigenbasis: its U_perp
+                # block, less its mean on the face, weighs the curvature of Z
+                c = ((sign * f) @ mt.reshape(t, r * r)).reshape(r, r)
+                lam, v = np.linalg.eigh(c[p:, p:] - (c.diagonal()[:p].real @ s0) * np.eye(r - p))
+                root = np.sqrt(2.0 * np.maximum(lam, 0.0))[:, None] * v.conj().T
+                k = at - lo
+                block = np.zeros((k, m), dtype=complex)
+                block[:, lo:at] = (root[:, None, :, None] * np.diag(np.sqrt(s0))[:, None, :]).reshape(k, k)
+                curv += [block, -1j * block]
+        rows = np.concatenate([np.concatenate(cols, axis=1).conj(), *curv])
+        rhs = np.zeros(rows.shape[0])
+        rhs[: f.size] = -f
+        theta = np.linalg.lstsq(np.concatenate([rows.real, -rows.imag], axis=1), rhs, rcond=None)[0]
+        last = float(theta @ theta) <= _POLISH_STEP_TOL
+        delta = theta[:m] + 1j * theta[m:]
+        # cut the step where the first S0 + D meets the PSD cone
+        moves, at, cut = [], 0, 1.0
+        for b, s0, _, _ in faces:
+            r, p = b.shape[0], s0.size
+            dm = symmetrize(delta[at:at + p * p].reshape(p, p))
+            moves.append((dm, b[:, p:] @ delta[at + p * p:at + r * p].reshape(r - p, p)))
+            at += r * p
+            if p > 1:
+                low = np.linalg.eigvalsh(dm / np.sqrt(np.outer(s0, s0)))[0]
+                cut = min(cut, -1.0 / low) if low < -1.0 else cut
+        moved = []
+        for flat, (b, s0, _, _), (dm, turn) in zip(flats, faces, moves):
+            g = b[:, : s0.size] + cut * turn
+            rho = g @ (np.diag(s0) + cut * dm) @ g.conj().T
+            moved.append(_face(flat, rho))
+        faces = moved
+    if best_dd > dd:
+        return None
+    return [(b[:, : s0.size] * s0) @ b[:, : s0.size].conj().T for b, s0, _, _ in best]
 
 
 def moment_distance(
@@ -231,7 +340,10 @@ def moment_distance(
     on each factor is the bottom eigenpair of the partial gradient (a
     rank-one vertex vv*, whose moment is Re(v* M_k v)), and the step is an
     exact line search (the objective is quadratic in the step).  phi is
-    linear, so the moments follow the witnesses by the same step.  Stops
+    linear, so the moments follow the witnesses by the same step.  On
+    iterations 8, 16, 32, ... a face polish (``_polish``) may replace the
+    witnesses by better ones of the same kind, where the moments are then
+    recomputed; frames above rank _POLISH_MAX_RANK are not polished.  Stops
     when the Frank-Wolfe gap falls below cfg.gap_tol or the iteration budget
     runs out; with ``until_decided``, also as soon as ``decide`` is
     definite.  The result is returned either way, carrying the final gap
@@ -250,7 +362,13 @@ def moment_distance(
     gap = np.inf
     it = 0
     stop = STOP_BUDGET
+    polish = max(s1.r, s2.r) <= _POLISH_MAX_RANK
     for it in range(cfg.max_iter + 1):
+        if polish and it >= _POLISH_FIRST and it & (it - 1) == 0:
+            polished = _polish(flat1, flat2, r1, r2, float(d @ d))
+            if polished is not None:
+                r1, r2 = polished
+                d = (flat1 @ r1.conj().ravel()).real - (flat2 @ r2.conj().ravel()).real
         lam1, v1 = _bottom_eigpair((d @ flat1).reshape(s1.r, s1.r))
         lam2, v2 = _bottom_eigpair((-d @ flat2).reshape(s2.r, s2.r))
         dd = float(d @ d)

@@ -3,7 +3,8 @@
 Nothing here calls the package's own eigensolver or Frank-Wolfe loop: the
 3x3 spectral norms come from the closed-form (trigonometric) solution of
 the characteristic cubic, generic eigenvalues from numpy's LAPACK wrapper,
-and moment-set minima from dense parameter grids.
+and moment-set minima from dense parameter grids.  Nothing here imports
+the package: the witness checks below take plain arrays.
 """
 
 from __future__ import annotations
@@ -95,3 +96,71 @@ def moment_cloud(mats: np.ndarray, bloch: np.ndarray) -> np.ndarray:
     """Moment coordinates of the Bloch-grid densities for an r = 2 family."""
     rhos = np.stack([bloch_density(x) for x in bloch])
     return np.real(np.einsum("kij,sji->sk", mats, rhos))
+
+
+def diagonal_stack(n: int) -> np.ndarray:
+    """An orthonormal Hermitian basis of the diagonal algebra of C^n: the
+    units E_ii, as a dense (n, n, n) stack.  pauli:q spans the same algebra
+    for n = 2^q, so its moment distances and orthocomplement are the same."""
+    return np.eye(n, dtype=complex)[:, :, None] * np.eye(n)[:, None, :]
+
+
+def coordinates(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tr(B_k X) for each element B_k of an orthonormal Hermitian stack."""
+    return np.real(np.einsum("kij,ji->k", stack, x))
+
+
+def certificate_problems(a, x, stack: np.ndarray, dist_tol: float) -> str | None:
+    """Why X is not a minimality witness for A relative to the algebra of the
+    orthonormal Hermitian stack (t, n, n), or None.
+
+    X must be Hermitian, trace-orthogonal to the algebra (its coordinates
+    have norm at most dist_tol), of trace norm 2, and satisfy
+    A X = ||A|| |X| with |X| from np.linalg.eigh, within 1e-8 ||A||.  A is
+    scaled by a power of two before the product, so any finite scale of A
+    gets the answer of A."""
+    a = np.asarray(a, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    if x.shape != a.shape or not np.allclose(x, x.conj().T, rtol=0.0, atol=1e-12):
+        return "X is not a Hermitian matrix of A's shape"
+    perp = float(np.linalg.norm(coordinates(stack, x)))
+    if perp > dist_tol:
+        return f"X is not trace-orthogonal to the algebra: coordinates of norm {perp:.3e}"
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    if abs(float(np.sum(np.abs(w))) - 2.0) > 1e-8:
+        return f"trace norm of X is {np.sum(np.abs(w))!r}, not 2"
+    e = np.frexp(np.max(np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))))[1]
+    unit = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(unit))))
+    residual = float(np.linalg.norm(unit @ x - norm * (v * np.abs(w)) @ v.conj().T))
+    if residual > 1e-8 * norm:
+        return f"A X != ||A|| |X|: residual {residual:.3e} at ||A|| = {norm:.3e}"
+    return None
+
+
+def support_problems(v, w, r_plus, r_minus, stack: np.ndarray, dist_tol: float) -> str | None:
+    """Why the witnesses do not show that the moments of the frames V and W
+    meet, or None: each must be a density matrix (Hermitian, eigenvalues at
+    least -1e-10, trace 1 within 1e-10), and the moments of V R+ V* and
+    W R- W* against the orthonormal stack must agree within dist_tol."""
+    for name, rho in (("R+", r_plus), ("R-", r_minus)):
+        rho = np.asarray(rho, dtype=complex)
+        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12):
+            return f"{name} is not Hermitian"
+        if np.linalg.eigvalsh(rho)[0] < -1e-10 or abs(np.trace(rho).real - 1.0) > 1e-10:
+            return f"{name} is not a density matrix"
+    gap = coordinates(stack, v @ r_plus @ v.conj().T) - coordinates(stack, w @ r_minus @ w.conj().T)
+    if np.linalg.norm(gap) > dist_tol:
+        return f"the moments differ by {np.linalg.norm(gap):.3e}"
+    return None
+
+
+def separation_bound(v, w, d: np.ndarray, stack: np.ndarray) -> float:
+    """A lower bound on the distance between the moments of the frames V and
+    W from any direction d in moment coordinates: (min over V of <d, .> -
+    max over W of <d, .>) / ||d||, each extreme an eigenvalue of the frame's
+    compression of sum_k d_k B_k."""
+    g = np.einsum("k,kij->ij", d, stack)
+    low = np.linalg.eigvalsh(v.conj().T @ g @ v)[0]
+    high = np.linalg.eigvalsh(w.conj().T @ g @ w)[-1]
+    return float((low - high) / np.linalg.norm(d))

@@ -52,6 +52,44 @@ def constructed_minimal_3x3(seed: int) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
+def twin_pair(seed: int, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded orthonormal n x 2 frames V, W, orthogonal to each other, whose
+    moments under the diagonal algebra (and so under pauli:q, n = 2^q) meet.
+
+    V holds a unit u and W its twin w: |w_i| = |u_i| with phases that close
+    the masses |u_i|^2 into a polygon, so <u, w> = 0 and diag(uu*) =
+    diag(ww*).  Each frame's second column is random.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = g / np.linalg.norm(g)
+        m = np.abs(u) ** 2
+        order = np.argsort(-m)
+        theta = rng.uniform(0.0, 2.0 * np.pi, n)
+        tail = np.sum(m[order[2:]] * np.exp(1j * theta[order[2:]]))
+        a, b, c = m[order[0]], m[order[1]], abs(tail)
+        if abs(a - b) <= c <= a + b:
+            break
+    # a + b e^{i s} = -tail e^{-i t} for the two largest masses
+    s = np.arccos(np.clip((c * c - a * a - b * b) / (2 * a * b), -1.0, 1.0))
+    t = np.angle(-tail / (a + b * np.exp(1j * s)))
+    theta[order[0]], theta[order[1]] = t, t + s
+    w = u * np.exp(1j * theta)
+    extra = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    q, _ = np.linalg.qr(np.column_stack([u, w, extra]))
+    return q[:, [0, 2]], q[:, [1, 3]]
+
+
+def support_matrix(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P_V - P_W + P_rest / 2 for orthonormal, mutually orthogonal frames:
+    eigenvalues +1 on V, -1 on W and 1/2 on the rest."""
+    pv = v @ v.conj().T
+    pw = w @ w.conj().T
+    a = pv - pw + 0.5 * (np.eye(v.shape[0]) - pv - pw)
+    return (a + a.conj().T) / 2
+
+
 def grid_agreement_suite() -> list[np.ndarray]:
     """The 25 seeded 3x3 instances: 15 clearly one-sided, 10 minimal."""
     cases = [random_one_sided_3x3(1000 + i) for i in range(15)]

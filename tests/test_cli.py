@@ -11,7 +11,7 @@ from bminimal import algebra, hermitian
 from bminimal import io as bio
 from bminimal.cli import main
 from bminimal.moment import Subspace
-from suites import MALFORMED, SCALES, constructed_minimal_3x3
+from suites import MALFORMED, SCALES, constructed_minimal_3x3, support_matrix, twin_pair
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -207,6 +207,18 @@ class TestSupport:
         code = main(["support", "--v-frame", v, "--w-frame", w, "--algebra", "diag"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["support_pair"] is True
+
+    def test_twin_pair(self, tmp_path, capsys):
+        # a rank-2 pair in C^8 meeting in one pure point of each moment, and
+        # the minimal matrix it supports: both settled by the face polish
+        v, w = twin_pair(1)
+        args = ["--v-frame", write_frame(tmp_path / "v.json", list(v.T)),
+                "--w-frame", write_frame(tmp_path / "w.json", list(w.T)), "--algebra", "pauli:3"]
+        assert main(["support", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == {"support_pair": True}
+        path = write_matrix(tmp_path / "a.json", support_matrix(v, w))
+        assert main(["check", "--matrix", path, "--algebra", "pauli:3"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "minimal"
 
     def test_false_pair(self, tmp_path, capsys):
         v = write_frame(tmp_path / "v.json", [[1, 0]])

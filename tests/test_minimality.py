@@ -39,9 +39,9 @@ from bminimal.minimality import (
     validate_certificate,
 )
 from bminimal.hermitian import _fix_phases, abs_hermitian, as_hermitian, eig_hermitian
-from bminimal.moment import Subspace
-from oracles import rand_hermitian
-from suites import SCALES, constructed_minimal_3x3, grid_agreement_suite
+from bminimal.moment import FWConfig, Subspace, moment_distance
+from oracles import certificate_problems, diagonal_stack, rand_hermitian, support_problems
+from suites import SCALES, constructed_minimal_3x3, grid_agreement_suite, support_matrix, twin_pair
 
 IV = 1 / np.sqrt(2)
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -494,6 +494,48 @@ class TestSupportPair:
         b = Subspace(np.array([[0.0], [1.0]], dtype=complex))
         with pytest.raises(NonUnitalBasis):
             is_support_pair(a, b, orthonormalize([e1]))
+
+
+class TestWitnessOracle:
+    """Every definite answer checked by numpy alone (tests/oracles.py)."""
+
+    DIST_TOL = FWConfig().dist_tol
+
+    def test_grid_suite(self):
+        stack = diagonal_stack(3)
+        verdicts = []
+        for a in grid_agreement_suite():
+            report = check_minimal(a, build_diagonal(3))
+            verdicts.append(report.verdict)
+            if report.verdict == MINIMAL:
+                assert certificate_problems(a, report.certificate.x, stack, self.DIST_TOL) is None
+            else:
+                assert (report.verdict, report.reason) == (NOT_MINIMAL, REASON_NORM)
+                w = np.linalg.eigvalsh(a)
+                assert abs(w[0] + w[-1]) > 1e-8 * max(abs(w[0]), abs(w[-1]))
+        assert verdicts.count(MINIMAL) == 10 and verdicts.count(NOT_MINIMAL) == 15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twin_pairs(self, seed):
+        # rank-2 pairs in C^8 whose moments meet in one pure point of each:
+        # Frank-Wolfe alone never settles them, the face polish does
+        v, w = twin_pair(seed)
+        sv, sw = Subspace(v), Subspace(w)
+        basis = build_pauli_diagonal(3)
+        assert is_support_pair(sv, sw, basis, FWConfig(max_iter=300)) is True
+        res = moment_distance(sv, sw, basis, FWConfig(max_iter=300))
+        assert res.stop_reason == "gap_met"
+        assert support_problems(v, w, res.witness_plus, res.witness_minus,
+                                diagonal_stack(8), self.DIST_TOL) is None
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_twin_support_matrix(self, c):
+        # P_V - P_W + P_rest / 2 is minimal at every scale, and its
+        # certificate passes the numpy check
+        a = c * support_matrix(*twin_pair(0))
+        report = check_minimal(a, build_pauli_diagonal(3), FWConfig(max_iter=300))
+        assert report.verdict == MINIMAL
+        assert certificate_problems(a, report.certificate.x, diagonal_stack(8), self.DIST_TOL) is None
 
 
 class TestConstructMinimal:

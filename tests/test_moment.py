@@ -22,8 +22,15 @@ from bminimal.moment import (
     sample_extreme,
     support_function,
 )
-from oracles import bloch_grid, moment_cloud
-from suites import SCALES, grid_agreement_suite
+from oracles import (
+    bloch_grid,
+    coordinates,
+    diagonal_stack,
+    moment_cloud,
+    separation_bound,
+    support_problems,
+)
+from suites import SCALES, grid_agreement_suite, twin_pair
 
 IV = 1 / np.sqrt(2)
 
@@ -241,11 +248,16 @@ class TestMomentDistance:
         a = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         b = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         # a pair that runs to the cap: the moments are updated step by step
-        # for 500 iterations before the witnesses are read back
-        capped_a, capped_b = random_rank2_pair(np.random.default_rng(90))
+        # for 500 iterations before the witnesses are read back.  Its rank,
+        # 5, is above the face polish's, so no polish settles it first
+        capped_a, capped_b = random_pair(np.random.default_rng(90), n=32, r=5)
+        # and a twin pair, whose moments are recomputed at the polished
+        # witnesses
+        twin_v, twin_w = (Subspace(f) for f in twin_pair(0))
         cases = [
             (a, b, basis, FWConfig(), None),
-            (capped_a, capped_b, build_pauli_diagonal(3), FWConfig(max_iter=500), "budget"),
+            (capped_a, capped_b, build_pauli_diagonal(5), FWConfig(max_iter=500), "budget"),
+            (twin_v, twin_w, build_pauli_diagonal(3), FWConfig(), "gap_met"),
         ]
         for s1, s2, alg, cfg, stop in cases:
             res = moment_distance(s1, s2, alg, cfg)
@@ -265,8 +277,10 @@ class TestMomentDistance:
         pairs = [
             (span([1, 0]), span([0, 1]), build_diagonal(2)),
             (subspace_s3(), subspace_v3(), build_diagonal(3)),
-            (*random_rank2_pair(np.random.default_rng(90)), build_pauli_diagonal(3)),
-            (*random_rank2_pair(np.random.default_rng(91)), build_pauli_diagonal(3)),
+            (*random_pair(np.random.default_rng(90)), build_pauli_diagonal(3)),
+            (*random_pair(np.random.default_rng(91)), build_pauli_diagonal(3)),
+            # above the face polish's rank: Frank-Wolfe alone runs to the cap
+            (*random_pair(np.random.default_rng(90), n=32, r=5), build_pauli_diagonal(5)),
         ]
         reasons = set()
         for s1, s2, basis in pairs:
@@ -277,11 +291,12 @@ class TestMomentDistance:
         assert reasons == {"gap_met", "budget"}
 
 
-def random_rank2_pair(rng, n=8):
-    """Orthogonal rank-2 subspaces of C^n from one seeded draw; under
-    pauli:3 their 3-dimensional moments miss each other almost surely."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)))
-    return Subspace(q[:, :2]), Subspace(q[:, 2:])
+def random_pair(rng, n=8, r=2):
+    """Orthogonal rank-r subspaces of C^n from one seeded draw; under
+    pauli:3 the 3-dimensional moments of rank-2 pairs in C^8 miss each
+    other almost surely."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2 * r)) + 1j * rng.standard_normal((n, 2 * r)))
+    return Subspace(q[:, :r]), Subspace(q[:, r:])
 
 
 class TestFWConfig:
@@ -307,25 +322,53 @@ class TestDecide:
         assert decide(5e-7, 1e-10, cfg) is True
         assert decide(5e-7, 1e-8, cfg) is None
         assert decide(1e-2, 1e-6, cfg) is False
-        # the bound distance - sqrt(2 gap) has to clear dist_tol
-        assert decide(1e-3 + 0.5e-6, 5e-7, cfg) is None
-        assert decide(1e-3 + 2e-6, 5e-7, cfg) is False
+        # the separating-hyperplane bound distance - gap / distance has to
+        # clear dist_tol
+        assert decide(1e-3, 9.995e-7, cfg) is None
+        assert decide(1e-3, 9.98e-7, cfg) is False
+        assert decide(0.0, 0.0, cfg) is True
+        assert decide(2e-6, 1e-8, cfg) is None
+
+    def test_hyperplane_bound_decides_sooner(self):
+        # d - sqrt(2 gap), the bound decide used before, leaves an early
+        # iterate of a disjoint pair undecided; the hyperplane bound
+        # d - gap / d rules it disjoint, and numpy's eigenvalues of the
+        # compressed direction confirm the bound
+        cfg = FWConfig()
+        basis = build_pauli_diagonal(3)
+        a, b = random_pair(np.random.default_rng(93))
+        stack = diagonal_stack(8)
+        sooner = 0
+        for k in range(1, 8):
+            res = moment_distance(a, b, basis, FWConfig(max_iter=k))
+            dist, gap = res.distance, res.gap
+            old = dist - np.sqrt(2.0 * gap) > cfg.dist_tol
+            if old or decide(dist, gap, cfg) is not False:
+                continue
+            sooner += 1
+            d = (coordinates(stack, a.frame @ res.witness_plus @ a.frame.conj().T)
+                 - coordinates(stack, b.frame @ res.witness_minus @ b.frame.conj().T))
+            assert np.linalg.norm(d) == pytest.approx(dist, abs=1e-12)
+            lower = separation_bound(a.frame, b.frame, d, stack)
+            assert lower == pytest.approx(dist - gap / dist, abs=1e-12)
+            assert lower > cfg.dist_tol
+        assert sooner >= 1
 
     def test_early_stop_keeps_verdict_on_random_pairs(self):
         cfg = FWConfig(max_iter=2000)
         basis = build_pauli_diagonal(3)
         rng = np.random.default_rng(90)
-        capped = 0
         for _ in range(6):
-            a, b = random_rank2_pair(rng)
+            a, b = random_pair(rng)
             full = moment_distance(a, b, basis, cfg)
             early = moment_distance(a, b, basis, cfg, until_decided=True)
             assert decide(full.distance, full.gap, cfg) is False
             assert decide(early.distance, early.gap, cfg) is False
             assert early.stop_reason in ("decided", "gap_met")
             assert early.iterations <= cfg.max_iter // 100
-            capped += full.stop_reason == "budget"
-        assert capped >= 2  # the early stop is tested where it saves the most
+            # the face polish settles these pairs, from iteration 8 on; the
+            # early stop comes first
+            assert early.iterations < min(full.iterations, 8)
 
     def test_early_stop_keeps_verdict_on_grid_suite(self):
         cfg = FWConfig()
@@ -363,8 +406,15 @@ class TestIntersects:
         basis = build_diagonal(4)
         a = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         b = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        with pytest.raises(Undecided, match="stopped at budget after 10 iterations"):
-            intersects(a, b, basis, FWConfig(max_iter=10))
+        # a budget below the first face polish (iteration 8)
+        with pytest.raises(Undecided, match="stopped at budget after 5 iterations"):
+            intersects(a, b, basis, FWConfig(max_iter=5))
+        # at 10 the polish has settled the pair: its witnesses are density
+        # matrices whose moments meet
+        assert intersects(a, b, basis, FWConfig(max_iter=10))
+        res = moment_distance(a, b, basis, FWConfig(max_iter=10), until_decided=True)
+        assert support_problems(a.frame, b.frame, res.witness_plus, res.witness_minus,
+                                diagonal_stack(4), FWConfig().dist_tol) is None
         # a loose gap tolerance stops the solve before the distance is settled
         with pytest.raises(Undecided, match="stopped at gap_met after"):
             intersects(a, b, basis, FWConfig(gap_tol=1e-2))

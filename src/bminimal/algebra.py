@@ -19,13 +19,13 @@ from .hermitian import (
     INPUT_TOL,
     STRUCTURE_TOL,
     _as_hermitian_stack,
+    _fold,
     _require_count,
     _require_finite,
     _require_shape,
     _require_tol,
     as_hermitian,
     frobenius,
-    symmetrize,
 )
 
 
@@ -114,18 +114,20 @@ class SubalgebraBasis:
         """The Hermitian (t, r, r) stack Q* B_k Q for an n x r frame Q.
 
         Entry s = (i, j) of the support adds table[k, s] times the outer
-        product conj(Q[i, :])ᵀ Q[j, :] to element k.  The support is taken t
-        entries at a time, so no temporary outgrows the result."""
+        product conj(Q[i, :])ᵀ Q[j, :] to element k, t entries at a time, into
+        the first chunk's product, which is then symmetrized in place."""
         q = np.asarray(frame)
         rows, cols = self.support
         t, r = self.dim, q.shape[1]
-        out = np.zeros((t, r * r), dtype=complex)
-        for start in range(0, rows.size, t):
+        def outer(part: slice) -> np.ndarray:  # one chunk, no larger than the result
+            return (q[rows[part], :, None].conj() * q[cols[part], None, :]).reshape(-1, r * r)
+        out = self.table[:, :t] @ outer(slice(0, t))
+        out += 0.0  # a -0.0 of BLAS reads +0.0, as a sum into zeros would
+        for start in range(t, rows.size, t):
             part = slice(start, start + t)
-            outer = (q[rows[part], :, None].conj() * q[cols[part], None, :]).reshape(-1, r * r)
-            out += self.table[:, part] @ outer
-            del outer  # freed before the next chunk's is built
-        return symmetrize(out.reshape(t, r, r))
+            out += self.table[:, part] @ outer(part)
+        out *= 0.5
+        return _fold(out.reshape(t, r, r))
 
 
 def build_diagonal(n: int) -> SubalgebraBasis:

@@ -66,9 +66,13 @@ def symmetrize(x) -> np.ndarray:
     Halving first cannot overflow, and it gives the bits of (x + x*)/2
     wherever the halves are normal floats, since halving is exact there.
     """
-    out = np.asarray(x) * 0.5
-    out += out.conj().swapaxes(-1, -2)
-    return out
+    return _fold(np.asarray(x) * 0.5)
+
+
+def _fold(half: np.ndarray) -> np.ndarray:
+    """``symmetrize``'s second half, in place: half + half* for the halved x."""
+    half += half.conj().swapaxes(-1, -2)
+    return half
 
 
 def unit_scaled(a) -> tuple[np.ndarray, int]:
@@ -99,14 +103,15 @@ def as_hermitian(a) -> np.ndarray:
     return _as_hermitian_stack(arr[np.newaxis])[0]
 
 
-def _as_hermitian_stack(arr: np.ndarray) -> np.ndarray:
+def _as_hermitian_stack(arr: np.ndarray, name: str = "matrix") -> np.ndarray:
     """The rule of ``as_hermitian`` for every matrix of a nonempty complex
     (t, n, n) stack, checked in one pass: NaN/Inf anywhere fails, then the
-    first element whose asymmetry exceeds INPUT_TOL times its own scale."""
-    # Every eigensolve passes through here with t = 1, so the pass keeps to
-    # few numpy calls: array methods, and per-element maxima over flat rows.
+    first element whose asymmetry exceeds INPUT_TOL times its own scale.
+    The messages call each matrix ``name``."""
+    # Every public eigensolve passes through here with t = 1, so the pass keeps
+    # to few numpy calls: array methods, and per-element maxima over flat rows.
     if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     herm = symmetrize(arr)
     rows = (arr.shape[0], -1)
     scale = np.abs(arr).reshape(rows).max(axis=1)
@@ -116,7 +121,7 @@ def _as_hermitian_stack(arr: np.ndarray) -> np.ndarray:
     if bad.any():
         k = int(bad.argmax())
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {2 * float(skew[k]):.3e} exceeds "
+            f"{name} is not Hermitian: max asymmetry {2 * float(skew[k]):.3e} exceeds "
             f"{INPUT_TOL:.1e} * {scale[k]:.3e}"
         )
     return herm
@@ -180,7 +185,13 @@ def _fix_phases(q: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix by cyclic complex Jacobi sweeps.
+    """Validate A (``as_hermitian``) and eigendecompose it with ``_eig``."""
+    return _eig(as_hermitian(a))
+
+
+def _eig(a0: np.ndarray) -> EigenDecomposition:
+    """Eigendecompose an exactly Hermitian, finite complex matrix that the
+    package built or validated, unchecked, by cyclic complex Jacobi sweeps.
 
     Unitary Givens rotations (with phases chosen to zero each off-diagonal
     pair) are applied in fixed cyclic order until the off-diagonal Frobenius
@@ -191,7 +202,6 @@ def eig_hermitian(a) -> EigenDecomposition:
     returned ascending; eigenvector phases normalized so the first
     largest-modulus entry of each column is real positive.
     """
-    a0 = as_hermitian(a)
     n = a0.shape[0]
     work, e = unit_scaled(a0)
     q = np.eye(n, dtype=complex)
@@ -261,9 +271,17 @@ def cluster_eigenvalues(decomp: EigenDecomposition) -> list[np.ndarray]:
 
 def abs_hermitian(x) -> np.ndarray:
     """Matrix absolute value |X| = Q |diag| Q*; PSD and commuting with X."""
-    dec = eig_hermitian(x)
-    out = (dec.vectors * np.abs(dec.eigenvalues)[np.newaxis, :]) @ dec.vectors.conj().T
-    return symmetrize(out)
+    h = as_hermitian(x)
+    return symmetrize(_abs_over_frame(np.eye(len(h)), h))
+
+
+def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Q |H| Q* for an orthonormal n x r frame Q and the Hermitian part H of
+    a finite r x r block the package built or validated, with |H| from
+    LAPACK: the package's one |X|."""
+    w, v = np.linalg.eigh(symmetrize(r))
+    u = q @ v
+    return (u * np.abs(w)) @ u.conj().T
 
 
 def _bottom_eigpair(g: np.ndarray) -> tuple[float, np.ndarray]:

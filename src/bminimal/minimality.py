@@ -27,10 +27,10 @@ from .errors import (
 from .hermitian import (
     STRUCTURE_TOL,
     EigenDecomposition,
+    _abs_over_frame,
     _require_finite,
     _require_shape,
     _require_tol,
-    abs_hermitian,
     cluster_eigenvalues,
     default_cluster_tol,
     eig_hermitian,
@@ -87,7 +87,7 @@ class MinimalityReport:
 
 
 def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
-    """The eigenspaces at +-||A|| of a decomposed nonzero A.
+    """The eigenspaces at +-||A|| of a decomposed A; A = 0 raises ZeroMatrix.
 
     With tau = default_cluster_tol(||A||), the norm is two-sided iff
     |lam_max + lam_min| <= tau; otherwise NormNotTwoSided is raised,
@@ -99,6 +99,8 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     ``default_cluster_tol``, at subnormal norms, this bound does not hold).
     """
     norm = dec.norm
+    if norm == 0.0:
+        raise ZeroMatrix("the zero matrix has no extremal eigenspaces")
     tau = default_cluster_tol(norm)
     # Python floats: a one-sided sum beyond the float range is inf, silently
     deficit = abs(float(dec.eigenvalues[-1]) + float(dec.eigenvalues[0]))
@@ -119,14 +121,6 @@ def spectral_split(dec: EigenDecomposition) -> ExtremalSpaces:
     )
 
 
-def _decompose(a) -> EigenDecomposition:
-    """Validate (inside eig_hermitian) and decompose A; A = 0 raises ZeroMatrix."""
-    dec = eig_hermitian(a)
-    if dec.norm == 0.0:
-        raise ZeroMatrix("the zero matrix has no extremal eigenspaces")
-    return dec
-
-
 # No package code calls this; it stays while perfbench/spans.py TRACED names it.
 def extremal_eigenspaces(a) -> ExtremalSpaces:
     """Validate, decompose and split A: its eigenspaces at +-||A||.
@@ -134,7 +128,7 @@ def extremal_eigenspaces(a) -> ExtremalSpaces:
     Raises ZeroMatrix for A = 0 and NormNotTwoSided (see ``spectral_split``)
     when one of the signed extremes is missing.
     """
-    return spectral_split(_decompose(a))
+    return spectral_split(eig_hermitian(a))
 
 
 def build_certificate(
@@ -173,14 +167,6 @@ def _require_orthogonal(v: np.ndarray, w: np.ndarray) -> None:
         raise NotOrthogonal(f"subspaces overlap: ||V* W||_F = {overlap:.3e}")
 
 
-def _abs_over_frame(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Q |H| Q* for an orthonormal n x r frame Q and the Hermitian part H of
-    an r x r block, with |H| from LAPACK."""
-    w, v = np.linalg.eigh(symmetrize(r))
-    u = q @ v
-    return (u * np.abs(w)) @ u.conj().T
-
-
 def _require_same_size(v: Subspace, w: Subspace) -> None:
     if v.n != w.n:
         raise ValueError(f"frames of different sizes: V has {v.n} rows, W has {w.n}")
@@ -206,7 +192,7 @@ def validate_certificate(a, x, basis: SubalgebraBasis, tol: float) -> bool:
             or not in_trace_orthocomplement(cand, basis, tol)):
         return False
     cand = symmetrize(cand)
-    residual = frobenius(mat @ cand - norm_a * abs_hermitian(cand))
+    residual = frobenius(mat @ cand - norm_a * _abs_over_frame(np.eye(basis.n), cand))
     return residual <= tol * norm_a * norm_x
 
 
@@ -226,7 +212,7 @@ def check_minimal(
     if not contains_identity(basis):
         raise NonUnitalBasis("minimality tests require the identity in the span")
     _require_shape(a, (basis.n, basis.n), "matrix", f"basis n = {basis.n}")
-    return _verdict(_decompose(a), basis, cfg)
+    return _verdict(eig_hermitian(a), basis, cfg)
 
 
 _OUTCOMES = {

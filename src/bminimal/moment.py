@@ -22,14 +22,14 @@ import numpy as np
 from .algebra import SubalgebraBasis
 from .errors import Undecided
 from .hermitian import (
-    INPUT_TOL,
     STRUCTURE_TOL,
+    _as_hermitian_stack,
     _bottom_eigpair,
+    _eig,
     _require_count,
     _require_finite,
     _require_shape,
     _require_tol,
-    eig_hermitian,
     frobenius,
     symmetrize,
 )
@@ -149,20 +149,19 @@ def compress_family(s: Subspace, basis: SubalgebraBasis) -> CompressedFamily:
 
 
 def moment_of_density(fam: CompressedFamily, r) -> np.ndarray:
-    """Moment coordinates of a finite, Hermitian r x r density matrix R in
-    frame coordinates; ||R - R*||_F may be at most INPUT_TOL * ||R||_F."""
+    """Moment coordinates of the Hermitian part of a finite r x r density
+    matrix R in frame coordinates; R is judged by ``as_hermitian``'s rule
+    (the largest entry of R - R* against INPUT_TOL times R's largest)."""
     rho = np.asarray(r, dtype=complex)
     dim = fam.subspace.r
     _require_shape(rho, (dim, dim), "density matrix r", f"frame r = {dim}")
     _require_finite(rho, "density matrix r")
-    # R - H(R) = (R - R*)/2 cannot overflow; norms are taken only if it is nonzero
-    half_skew = rho - symmetrize(rho)
-    if half_skew.any():
-        skew, norm = 2 * frobenius(half_skew), frobenius(rho)
-        if skew > INPUT_TOL * norm:
-            raise ValueError(f"density matrix r is not Hermitian: ||R - R*||_F = {skew:.3e} "
-                             f"exceeds {INPUT_TOL:.1e} * ||R||_F = {norm:.3e}")
-    return np.real(np.einsum("kij,ji->k", fam.mats, rho))
+    return _moment(fam.mats, _as_hermitian_stack(rho[np.newaxis], "density matrix r")[0])
+
+
+def _moment(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re tr(M_k R) for a (t, r, r) stack and an r x r matrix the package built."""
+    return np.real(np.einsum("kij,ji->k", mats, rho))
 
 
 def sample_extreme(fam: CompressedFamily, count: int, seed: int) -> np.ndarray:
@@ -202,7 +201,7 @@ def support_function(fam: CompressedFamily, w) -> float:
         combined = np.einsum("k,kij->ij", vec, fam.mats)
     if not np.isfinite(combined).all():
         raise ValueError("direction w is too large: an entry of sum_k w_k M_k overflows")
-    return float(eig_hermitian(combined).eigenvalues[-1])
+    return float(_eig(symmetrize(combined)).eigenvalues[-1])
 
 
 def jnr_support(fam: CompressedFamily, w) -> float:
@@ -358,7 +357,7 @@ def moment_distance(
     r2 = np.eye(s2.r, dtype=complex) / s2.r
 
     # d = phi1(R1) - phi2(R2), the difference of the running moments
-    d = moment_of_density(fam1, r1) - moment_of_density(fam2, r2)
+    d = _moment(fam1.mats, r1) - _moment(fam2.mats, r2)
     gap = np.inf
     it = 0
     stop = STOP_BUDGET
@@ -396,7 +395,7 @@ def moment_distance(
         d += step * u
     r1 = symmetrize(r1)
     r2 = symmetrize(r2)
-    d = moment_of_density(fam1, r1) - moment_of_density(fam2, r2)
+    d = _moment(fam1.mats, r1) - _moment(fam2.mats, r2)
     return FWResult(
         distance=float(np.linalg.norm(d)),
         witness_plus=r1,

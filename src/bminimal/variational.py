@@ -17,28 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SubalgebraBasis, compress
+from .algebra import SubalgebraBasis
 from .errors import NormNotTwoSided
 from .hermitian import (
     EigenDecomposition,
+    _eig,
     _require_count,
     _require_finite,
     _require_shape,
     as_hermitian,
     cluster_eigenvalues,
     default_cluster_tol,
-    eig_hermitian,
     symmetrize,
 )
-from .minimality import MINIMAL, MinimalityReport, _decompose, _verdict, check_minimal, spectral_split
-from .moment import (
-    CompressedFamily,
-    FWConfig,
-    Subspace,
-    compress_family,
-    moment_of_density,
-    support_function,
-)
+from .minimality import MINIMAL, MinimalityReport, _verdict, check_minimal, spectral_split
+from .moment import CompressedFamily, FWConfig, Subspace, _moment, compress_family, support_function
 
 KIND_LAMBDA_MAX = "lambda_max"
 KIND_LAMBDA_MIN = "lambda_min"
@@ -131,14 +124,14 @@ def _side(fam: AffineFamily, dec: EigenDecomposition, top: bool) -> CompressedFa
 
 def subdiff_lambda_max(fam: AffineFamily, x) -> SubdifferentialView:
     """Subdifferential of the top eigenvalue: the moment of its eigenspace."""
-    side = _side(fam, eig_hermitian(fam.evaluate(x)), top=True)
+    side = _side(fam, _eig(fam.evaluate(x)), top=True)
     return SubdifferentialView(kind=KIND_LAMBDA_MAX, moment_max=side)
 
 
 def subdiff_lambda_min(fam: AffineFamily, x) -> SubdifferentialView:
     """Bottom-eigenvalue counterpart: the moment of the bottom eigenspace,
     whose least <w, .> is ``support(w)``, the derivative along w."""
-    side = _side(fam, eig_hermitian(fam.evaluate(x)), top=False)
+    side = _side(fam, _eig(fam.evaluate(x)), top=False)
     return SubdifferentialView(kind=KIND_LAMBDA_MIN, moment_min=side)
 
 
@@ -153,7 +146,7 @@ def subdiff_norm(fam: AffineFamily, x) -> SubdifferentialView:
     """Subdifferential of ||A(x)||: the hull of both extreme sides when the
     norm is two-sided by ``spectral_split``'s rule, else the active side.
     Raises ZeroMatrix at A(x) = 0, where the norm is not differentiable."""
-    dec = _decompose(fam.evaluate(x))
+    dec = _eig(fam.evaluate(x))
     try:
         spaces = spectral_split(dec)
     except NormNotTwoSided:
@@ -188,10 +181,10 @@ def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, Eige
     of rank r (negated on the bottom side; ties go to the top): the moment of
     its projector over its rank, whichever basis rounding picks.
     """
-    dec = eig_hermitian(fam.evaluate(x))
+    dec = _eig(fam.evaluate(x))
     top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
     side = _side(fam, dec, top)
-    g = moment_of_density(side, np.eye(side.subspace.r, dtype=complex) / side.subspace.r)
+    g = _moment(side.mats, np.eye(side.subspace.r, dtype=complex) / side.subspace.r)
     return dec.norm, (g if top else -g), dec
 
 
@@ -224,7 +217,7 @@ def best_approximation(
 
     # a zero candidate reuses the unperturbed point's decomposition
     at_zero = _norm_and_subgradient(fam, np.zeros(fam.t))
-    candidates = (x, np.zeros(fam.t), -compress(fam.a0, fam.basis))
+    candidates = (x, np.zeros(fam.t), -fam.basis.coords(fam.a0).real)
     evaluated = [_norm_and_subgradient(fam, cand) if cand.any() else at_zero
                  for cand in candidates]
     a0_norm = at_zero[0]

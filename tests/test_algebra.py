@@ -443,6 +443,20 @@ class TestSupportStorage:
         assert fam.mats.shape == (256, 2, 2)
         assert peak <= 256 * 2**10
 
+    def test_compress_to_peak_within_twice_its_result(self):
+        # the first chunk's product is the result, symmetrized in place: at
+        # most one result-sized temporary beside it (3x with an accumulator)
+        basis = build_diagonal(128)
+        frame = Subspace.from_span(np.random.default_rng(54).standard_normal((128, 64))).frame
+        tracemalloc.start()
+        try:
+            mats = basis.compress_to(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mats.shape == (128, 64, 64)
+        assert peak <= 2.1 * mats.nbytes
+
     @pytest.mark.parametrize("build, arg, size", [
         (build_diagonal, 5, 5),
         (build_pauli_diagonal, 3, 8),

@@ -567,10 +567,10 @@ class TestValidationCounts:
         # three custom elements by orthonormalize, then the basis stack, then A
         assert self.run(capsys, count, ["check", "--matrix", minimal,
                                         "--algebra", f"custom:{alg}"]) == 5
-        # A in AffineFamily, and the eigensolves of A(x) and of the
-        # compressed direction
+        # A in AffineFamily; A(x) and the compressed direction are built by
+        # the package and decomposed without a pass
         assert self.run(capsys, count, ["dirderiv", "--matrix", minimal, "--algebra", "diag",
-                                        "--w", "1,0,0"]) == 3
+                                        "--w", "1,0,0"]) == 1
         # R in the eigensolve that also gives ||R||
         v = write_frame(tmp_path / "v.json", [[0.5, 0.5, 0.5, 0.5]])
         w = write_frame(tmp_path / "w.json", [[-0.5, -0.5, 0.5, 0.5]])

@@ -4,6 +4,7 @@ import pytest
 from bminimal import hermitian
 from bminimal.algebra import build_diagonal
 from bminimal.hermitian import (
+    INPUT_TOL,
     abs_hermitian,
     as_hermitian,
     cluster_eigenvalues,
@@ -13,7 +14,7 @@ from bminimal.hermitian import (
     symmetrize,
 )
 from bminimal.minimality import construct_minimal, validate_certificate
-from bminimal.moment import Subspace
+from bminimal.moment import Subspace, compress_family, moment_of_density
 from oracles import rand_hermitian
 from suites import SCALES
 
@@ -55,6 +56,25 @@ class TestAsHermitian:
             as_hermitian(c * np.array([[0.0, 1e-6], [1e-6 + 1e-13, 0.0]]))
         a = np.array([[1.0, 1.0 + 1e-14j], [1.0 - 1e-14j, 2.0]])
         assert np.allclose(as_hermitian(c * a) / c, as_hermitian(a), rtol=0, atol=1e-15)
+
+
+class TestOneAsymmetryRule:
+    """moment_of_density judges R by as_hermitian's rule: the largest entry
+    of R - R* against INPUT_TOL times the largest entry of R."""
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (1.2, False)])
+    def test_same_verdict(self, factor, accepted):
+        # I/4 with one skew entry: refused above INPUT_TOL * 0.25 (a ratio of
+        # Frobenius norms would let it pass up to about 0.35 * INPUT_TOL)
+        fam = compress_family(Subspace(np.eye(4, dtype=complex)), build_diagonal(4))
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = factor * INPUT_TOL * 0.25
+        for fn in (as_hermitian, lambda r: moment_of_density(fam, r)):
+            if accepted:
+                fn(rho)
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    fn(rho)
 
 
 class TestEig:
@@ -215,8 +235,9 @@ class TestValidatesOnce:
             Subspace(np.array([[IV], [IV], [0.0]], dtype=complex)),
             Subspace(np.array([[IV], [-IV], [0.0]], dtype=complex)),
             1.0, np.diag([0.0, 0.0, 0.5]), basis), 1),
-        # A in its one eigensolve, which also gives ||A||; X inside |X|
-        (lambda basis: validate_certificate(M1, X_SWAP, basis, 1e-6), 2),
+        # A in its one eigensolve, which also gives ||A||; X is checked by
+        # validate_certificate itself, and |X| takes it as it is
+        (lambda basis: validate_certificate(M1, X_SWAP, basis, 1e-6), 1),
     ], ids=["construct_minimal", "validate_certificate"])
     def test_library_passes(self, passes, call, expected):
         basis = build_diagonal(3)
@@ -276,6 +297,13 @@ class TestAbsHermitian:
             assert np.linalg.norm(ax @ ax - x @ x) <= 1e-9 * max(1.0, scale)
             assert np.min(np.linalg.eigvalsh(ax)) >= -1e-10
             assert np.linalg.norm(ax @ x - x @ ax) <= 1e-10 * max(1.0, np.linalg.norm(x))
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_matches_numpy(self, c):
+        x = c * rand_hermitian(np.random.default_rng(18), 5)
+        w, v = np.linalg.eigh(x)
+        expected = (v * np.abs(w)) @ v.conj().T
+        assert np.allclose(abs_hermitian(x), expected, rtol=0, atol=1e-13 * np.abs(w).max())
 
 
 class TestMinEigpair:

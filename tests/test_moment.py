@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bminimal import hermitian, moment
 from bminimal.algebra import (
     build_block,
     build_diagonal,
@@ -199,6 +200,28 @@ class TestJnrSupport:
 
 
 class TestMomentDistance:
+    def test_no_operand_rule_on_witnesses(self, monkeypatch):
+        # the witnesses are the solve's own: their moments skip the public
+        # entry and the operand rules
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("_as_hermitian_stack", "_require_finite", "moment_of_density"):
+            monkeypatch.setattr(moment, name, counting(name, getattr(moment, name)))
+            if hasattr(hermitian, name):
+                monkeypatch.setattr(hermitian, name, counting(name, getattr(hermitian, name)))
+        v, w = twin_pair(5)
+        s1, s2 = Subspace(v), Subspace(w)
+        calls.clear()
+        res = moment_distance(s1, s2, build_pauli_diagonal(3))
+        assert res.distance <= 1e-9
+        assert calls == []
+
     def test_disjoint_axes(self):
         res = moment_distance(span([1, 0]), span([0, 1]), build_diagonal(2))
         assert res.distance == pytest.approx(np.sqrt(2.0), abs=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bminimal import minimality, variational
+from bminimal import hermitian, variational
 from bminimal.algebra import build_diagonal, build_pauli_diagonal, orthonormalize
 from bminimal.errors import NonUnitalBasis, ZeroMatrix
 from bminimal.hermitian import eig_hermitian
@@ -375,15 +375,24 @@ class TestBestApproximation:
         assert res.dist / c == pytest.approx(ref.dist, rel=1e-9)
 
     def test_one_decomposition_per_point(self, monkeypatch):
-        real = variational.eig_hermitian
+        real = hermitian._eig
         calls = []
 
         def counting(a):
             calls.append(1)
             return real(a)
 
-        monkeypatch.setattr(variational, "eig_hermitian", counting)
-        monkeypatch.setattr(minimality, "eig_hermitian", counting)
+        # hermitian's own name is the one eig_hermitian calls
+        for mod in (hermitian, variational):
+            monkeypatch.setattr(mod, "_eig", counting)
+        real_stack = hermitian._as_hermitian_stack
+        passes = []
+
+        def counting_stack(*args, **kwargs):
+            passes.append(1)
+            return real_stack(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "_as_hermitian_stack", counting_stack)
         real_evaluate = AffineFamily.evaluate
         evaluations = []
 
@@ -393,8 +402,11 @@ class TestBestApproximation:
 
         monkeypatch.setattr(AffineFamily, "evaluate", counting_evaluate)
         fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
+        # A0 is validated once, by AffineFamily; no point of the run is
+        assert len(passes) == 1
         result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=25))
         assert not result.converged and len(result.trace) == 26
+        assert len(passes) == 1
         # two start candidates (x0 = 0 is the unperturbed point), then one
         # point per step; the optimality test reuses each improved point's
         # decomposition, and its matrix

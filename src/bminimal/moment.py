@@ -40,12 +40,11 @@ STOP_DECIDED = "decided"      # until_decided, and decide() was definite
 STOP_BUDGET = "budget"        # cfg.max_iter iterations ran
 STOP_ZERO_STEP = "zero_step"  # the step direction vanished
 
-# The face polish (_polish) runs on iterations 8, 16, 32, ... of a solve
-# whose frames have rank at most _POLISH_MAX_RANK.  Its steps grow like the
-# sixth power of the rank, and a face sheds at most one rank per step: at
-# rank 6 (pauli:5) one polish took as long as 120-170 Frank-Wolfe iterations.
+# The face polish (_polish) runs on iterations 8, 16, 32, ... of every
+# solve.  Its steps grow like the sixth power of the rank, and a face sheds
+# at most one rank per step: one polish takes about 5 ms at rank 5 and
+# about 1 s at rank 64 (pauli:8).
 _POLISH_FIRST = 8
-_POLISH_MAX_RANK = 4
 _POLISH_STEPS = 8   # Newton steps per polish, at most
 # A squared Newton step this small ends a polish: the steps converge
 # quadratically, so the point it reaches is off by about its square.
@@ -230,22 +229,21 @@ def decide(distance: float, gap: float, cfg: FWConfig) -> bool | None:
     return None
 
 
-def _face(flat: np.ndarray, rho: np.ndarray):
+def _face(mats: np.ndarray, rho: np.ndarray):
     """The face of a density matrix: its eigenbasis B by decreasing
     eigenvalue, the eigenvalues above STRUCTURE_TOL times the largest,
     renormalized to unit trace (the rest are clipped), the family in that
-    basis (B* M_k B, from the flat (t, r*r) stack) and the moment of the
-    faced matrix."""
+    basis (B* M_k B, one stacked product on the (t, r, r) stack) and the
+    moment of the faced matrix."""
     w, u = np.linalg.eigh(rho)
     w, b = w[::-1], u[:, ::-1]
     s0 = w[: np.count_nonzero(w > STRUCTURE_TOL * w[0])]
     s0 = s0 / np.sum(s0)
-    r = b.shape[0]
-    mt = (flat @ (b.conj()[:, None, :, None] * b[None, :, None, :]).reshape(r * r, r * r)).reshape(-1, r, r)
+    mt = b.conj().T @ mats @ b
     return b, s0, mt, mt.diagonal(axis1=1, axis2=2)[:, : s0.size].real @ s0
 
 
-def _polish(flat1: np.ndarray, flat2: np.ndarray, r1, r2, dd: float):
+def _polish(mats1: np.ndarray, mats2: np.ndarray, r1, r2, dd: float):
     """Witnesses no worse than (R1, R2), whose objective is dd = ||d||^2, or
     None: Newton steps on the faces of the witnesses.
 
@@ -264,8 +262,7 @@ def _polish(flat1: np.ndarray, flat2: np.ndarray, r1, r2, dd: float):
     objective or is below _POLISH_STEP_TOL; the best faced witnesses are
     returned if their objective is at most dd.
     """
-    flats = (flat1, flat2)
-    faces = [_face(flat1, r1), _face(flat2, r2)]
+    faces = [_face(mats1, r1), _face(mats2, r2)]
     best, best_dd, last = None, np.inf, False
     for step in range(_POLISH_STEPS + 1):
         f = faces[0][3] - faces[1][3]
@@ -314,10 +311,10 @@ def _polish(flat1: np.ndarray, flat2: np.ndarray, r1, r2, dd: float):
                 low = np.linalg.eigvalsh(dm / np.sqrt(np.outer(s0, s0)))[0]
                 cut = min(cut, -1.0 / low) if low < -1.0 else cut
         moved = []
-        for flat, (b, s0, _, _), (dm, turn) in zip(flats, faces, moves):
+        for mats, (b, s0, _, _), (dm, turn) in zip((mats1, mats2), faces, moves):
             g = b[:, : s0.size] + cut * turn
             rho = g @ (np.diag(s0) + cut * dm) @ g.conj().T
-            moved.append(_face(flat, rho))
+            moved.append(_face(mats, rho))
         faces = moved
     if best_dd > dd:
         return None
@@ -341,13 +338,12 @@ def moment_distance(
     exact line search (the objective is quadratic in the step).  phi is
     linear, so the moments follow the witnesses by the same step.  On
     iterations 8, 16, 32, ... a face polish (``_polish``) may replace the
-    witnesses by better ones of the same kind, where the moments are then
-    recomputed; frames above rank _POLISH_MAX_RANK are not polished.  Stops
-    when the Frank-Wolfe gap falls below cfg.gap_tol or the iteration budget
-    runs out; with ``until_decided``, also as soon as ``decide`` is
-    definite.  The result is returned either way, carrying the final gap
-    and the reason it stopped; its distance is recomputed from the
-    witnesses.
+    witnesses by better ones of the same kind, at every frame rank, where
+    the moments are then recomputed.  Stops when the Frank-Wolfe gap falls
+    below cfg.gap_tol or the iteration budget runs out; with
+    ``until_decided``, also as soon as ``decide`` is definite.  The result
+    is returned either way, carrying the final gap and the reason it
+    stopped; its distance is recomputed from the witnesses.
     """
     fam1 = compress_family(s1, basis)
     fam2 = compress_family(s2, basis)
@@ -361,10 +357,9 @@ def moment_distance(
     gap = np.inf
     it = 0
     stop = STOP_BUDGET
-    polish = max(s1.r, s2.r) <= _POLISH_MAX_RANK
     for it in range(cfg.max_iter + 1):
-        if polish and it >= _POLISH_FIRST and it & (it - 1) == 0:
-            polished = _polish(flat1, flat2, r1, r2, float(d @ d))
+        if it >= _POLISH_FIRST and it & (it - 1) == 0:
+            polished = _polish(fam1.mats, fam2.mats, r1, r2, float(d @ d))
             if polished is not None:
                 r1, r2 = polished
                 d = (flat1 @ r1.conj().ravel()).real - (flat2 @ r2.conj().ravel()).real

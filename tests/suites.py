@@ -52,13 +52,14 @@ def constructed_minimal_3x3(seed: int) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
-def twin_pair(seed: int, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded orthonormal n x 2 frames V, W, orthogonal to each other, whose
-    moments under the diagonal algebra (and so under pauli:q, n = 2^q) meet.
+def twin_pair(seed: int, n: int = 8, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded orthonormal n x r frames V, W (2r <= n), orthogonal to each
+    other, whose moments under the diagonal algebra (and so under pauli:q,
+    n = 2^q) meet.
 
     V holds a unit u and W its twin w: |w_i| = |u_i| with phases that close
     the masses |u_i|^2 into a polygon, so <u, w> = 0 and diag(uu*) =
-    diag(ww*).  Each frame's second column is random.
+    diag(ww*).  Each frame's other r - 1 columns are random.
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -76,9 +77,9 @@ def twin_pair(seed: int, n: int = 8) -> tuple[np.ndarray, np.ndarray]:
     t = np.angle(-tail / (a + b * np.exp(1j * s)))
     theta[order[0]], theta[order[1]] = t, t + s
     w = u * np.exp(1j * theta)
-    extra = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    extra = rng.standard_normal((n, 2 * (r - 1))) + 1j * rng.standard_normal((n, 2 * (r - 1)))
     q, _ = np.linalg.qr(np.column_stack([u, w, extra]))
-    return q[:, [0, 2]], q[:, [1, 3]]
+    return q[:, [0, *range(2, r + 1)]], q[:, [1, *range(r + 1, 2 * r)]]
 
 
 def support_matrix(v: np.ndarray, w: np.ndarray) -> np.ndarray:

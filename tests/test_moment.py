@@ -271,15 +271,15 @@ class TestMomentDistance:
         a = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         b = Subspace.from_span(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         # a pair that runs to the cap: the moments are updated step by step
-        # for 500 iterations before the witnesses are read back.  Its rank,
-        # 5, is above the face polish's, so no polish settles it first
-        capped_a, capped_b = random_pair(np.random.default_rng(90), n=32, r=5)
+        # for 500 iterations before the witnesses are read back.  The face
+        # polishes on its rank-8 frames run but do not settle it
+        capped_a, capped_b = random_pair(np.random.default_rng(103), n=64, r=8)
         # and a twin pair, whose moments are recomputed at the polished
         # witnesses
         twin_v, twin_w = (Subspace(f) for f in twin_pair(0))
         cases = [
             (a, b, basis, FWConfig(), None),
-            (capped_a, capped_b, build_pauli_diagonal(5), FWConfig(max_iter=500), "budget"),
+            (capped_a, capped_b, build_pauli_diagonal(6), FWConfig(max_iter=500), "budget"),
             (twin_v, twin_w, build_pauli_diagonal(3), FWConfig(), "gap_met"),
         ]
         for s1, s2, alg, cfg, stop in cases:
@@ -302,8 +302,9 @@ class TestMomentDistance:
             (subspace_s3(), subspace_v3(), build_diagonal(3)),
             (*random_pair(np.random.default_rng(90)), build_pauli_diagonal(3)),
             (*random_pair(np.random.default_rng(91)), build_pauli_diagonal(3)),
-            # above the face polish's rank: Frank-Wolfe alone runs to the cap
-            (*random_pair(np.random.default_rng(90), n=32, r=5), build_pauli_diagonal(5)),
+            # rank 8 under pauli:6: the face polishes do not settle it, and
+            # the solve runs to the cap
+            (*random_pair(np.random.default_rng(103), n=64, r=8), build_pauli_diagonal(6)),
         ]
         reasons = set()
         for s1, s2, basis in pairs:
@@ -441,6 +442,21 @@ class TestIntersects:
         # a loose gap tolerance stops the solve before the distance is settled
         with pytest.raises(Undecided, match="stopped at gap_met after"):
             intersects(a, b, basis, FWConfig(gap_tol=1e-2))
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("q", [4, 5, 6])
+    def test_twin_pairs_of_every_rank(self, q, r):
+        # the face polish runs at every rank, so twin pairs of each rank are
+        # decided True, with witnesses that numpy alone confirms
+        basis = build_pauli_diagonal(q)
+        stack = diagonal_stack(2**q)
+        for seed in range(3):
+            v, w = twin_pair(seed, 2**q, r)
+            s1, s2 = Subspace(v), Subspace(w)
+            assert intersects(s1, s2, basis)
+            res = moment_distance(s1, s2, basis, until_decided=True)
+            assert support_problems(v, w, res.witness_plus, res.witness_minus,
+                                    stack, FWConfig().dist_tol) is None
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@
 Certifies whether ||A|| <= ||A + B|| for every B in a subalgebra given by
 an orthonormal Hermitian basis, through moment sets of extremal
 eigenspaces, minimality certificates A X = ||A|| |X|, eigenvalue
-subdifferentials, and subgradient best approximation.
+subdifferentials, and best approximation by accelerated smoothing.
 """
 
 from .algebra import (

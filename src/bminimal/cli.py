@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("best-approx", parents=[common, solver_flags],
-                       help="minimize ||A0 + sum x_k B_k|| by subgradient descent")
+                       help="minimize ||A0 + sum x_k B_k|| by accelerated smoothing")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x0", help="comma-separated start point (default zeros)")
     p.set_defaults(func=_cmd_best_approx)

@@ -5,10 +5,11 @@ the moment of the top eigenspace; the bottom eigenvalue mirrors it with a
 sign.  Minimality of A(x) is the condition 0 in d(lambda_max) +
 d(lambda_min); since each subdifferential is the moment of its extremal
 eigenspace, that condition is exactly the certification test, and
-``is_minimal_variational`` is ``check_minimal`` on A(x).  A subgradient
-method drives the best approximation dist(A0, B) = min_x ||A(x)||,
-decomposing each point it evaluates once and reusing that decomposition
-for the same verdict pipeline as its optimality test.
+``is_minimal_variational`` is ``check_minimal`` on A(x).  Accelerated
+gradient on a smoothing of the extreme eigenvalues drives the best
+approximation dist(A0, B) = min_x ||A(x)||, decomposing each point it
+evaluates once and reusing that decomposition for its gradient and for the
+same verdict pipeline as its optimality test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .hermitian import (
     symmetrize,
 )
 from .minimality import MINIMAL, MinimalityReport, _verdict, check_minimal, spectral_split
-from .moment import CompressedFamily, FWConfig, Subspace, _moment, compress_family, support_function
+from .moment import CompressedFamily, FWConfig, Subspace, compress_family, support_function
 
 KIND_LAMBDA_MAX = "lambda_max"
 KIND_LAMBDA_MIN = "lambda_min"
@@ -93,7 +94,7 @@ class SubdifferentialView:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget for the subgradient best-approximation loop and the Frank-Wolfe
+    """Step budget of the best-approximation loop and the Frank-Wolfe
     settings of its optimality test.  ``fw.dist_tol`` is in moment space."""
 
     max_iter: int = 2000
@@ -174,20 +175,6 @@ def is_minimal_variational(
     return check_minimal(fam.evaluate(x), fam.basis, cfg)
 
 
-def _norm_and_subgradient(fam: AffineFamily, x) -> tuple[float, np.ndarray, EigenDecomposition]:
-    """||A(x)||, one subgradient of it, and the decomposition of A(x).
-
-    The subgradient is the moment of I/r on the active side's extreme cluster
-    of rank r (negated on the bottom side; ties go to the top): the moment of
-    its projector over its rank, whichever basis rounding picks.
-    """
-    dec = _eig(fam.evaluate(x))
-    top = dec.eigenvalues[-1] >= -dec.eigenvalues[0]
-    side = _side(fam, dec, top)
-    g = _moment(side.mats, np.eye(side.subspace.r, dtype=complex) / side.subspace.r)
-    return dec.norm, (g if top else -g), dec
-
-
 def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, a0_norm: float,
                        cfg: SolverConfig) -> bool:
     """0 in d||A(x)||, given the decomposition of A(x): its norm is at most
@@ -197,52 +184,75 @@ def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, a0_norm: floa
     return _verdict(dec, fam.basis, cfg.fw).verdict == MINIMAL
 
 
+# Smoothing schedule of best_approximation: mu starts at _MU_START * ||A0||
+# and halves each time a stage of _STAGE accelerated steps restarts from the
+# best point, so c A0 follows the path of A0 scaled by c.
+_MU_START = 0.05
+_MU_SHRINK = 0.5
+_STAGE = 150
+
+
+def _smoothed_gradient(fam: AffineFamily, dec: EigenDecomposition, rel_mu: float,
+                       a0_norm: float) -> np.ndarray:
+    """Gradient in x of f_mu = mu log sum_i (e^{lam_i/mu} + e^{-lam_i/mu}),
+    mu = rel_mu ||A0||, at the point dec decomposes: coords(Q diag(p) Q*), p
+    the first half of softmax((lam, -lam)/mu) minus its second.  Exponents
+    are shifted by ||A(x)|| and built from ratios of norms, so none overflows
+    and an underflowed mu divides nothing."""
+    lam = dec.eigenvalues
+    e = np.exp((np.concatenate([lam, -lam]) / dec.norm - 1.0) * (dec.norm / a0_norm / rel_mu))
+    p = (e[:lam.size] - e[lam.size:]) / e.sum()
+    q = dec.vectors
+    return fam.basis.coords((q * p) @ q.conj().T).real
+
+
 def best_approximation(
     fam: AffineFamily,
     x0,
     cfg: SolverConfig = SolverConfig(),
 ) -> BestApproxResult:
-    """Minimize ||A(x)|| by subgradient descent with diminishing steps.
+    """Minimize ||A(x)|| by accelerated gradient on its smoothing f_mu.
 
     Iteration starts from the best of x0, the unperturbed point x = 0 and
     the Frobenius projection of A0 onto the span (x = -coordinates of A0),
-    the earliest of equals.  The best iterate is
-    tracked throughout; convergence is declared when the check_minimal
-    pipeline certifies the optimality condition 0 in d||A(x)|| at an
-    improved iterate (or its norm falls to default_cluster_tol(||A0||)),
-    otherwise the cap is reported.  Steps scale with the start norm.
+    the earliest of equals.  FISTA steps of length mu (the gradient of f_mu
+    is 1/mu-Lipschitz in an orthonormal basis) restart at the best point
+    with mu halved every _STAGE steps.  Convergence is declared when the
+    check_minimal pipeline certifies 0 in d||A(x)|| at an improved point (or
+    its norm falls to default_cluster_tol(||A0||)), otherwise the cap is
+    reported.
     """
     x = np.asarray(x0, dtype=float).copy()
     _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
 
     # a zero candidate reuses the unperturbed point's decomposition
-    at_zero = _norm_and_subgradient(fam, np.zeros(fam.t))
+    at_zero = _eig(fam.evaluate(np.zeros(fam.t)))
     candidates = (x, np.zeros(fam.t), -fam.basis.coords(fam.a0).real)
-    evaluated = [_norm_and_subgradient(fam, cand) if cand.any() else at_zero
+    evaluated = [_eig(fam.evaluate(cand)) if cand.any() else at_zero
                  for cand in candidates]
-    a0_norm = at_zero[0]
-    pick = int(np.argmin([f for f, _, _ in evaluated]))
-    x = candidates[pick]
-    best_f, g, dec = evaluated[pick]
+    a0_norm = at_zero.norm
+    pick = int(np.argmin([dec.norm for dec in evaluated]))
+    best_x, best_dec = candidates[pick], evaluated[pick]
 
-    best_x = x.copy()
-    norms = [best_f]
-    converged = _certified_optimal(fam, dec, a0_norm, cfg)
-    if not converged:
-        c = best_f  # step scale ||A(x_start)||
-        for k in range(1, cfg.max_iter + 1):
-            gnorm = float(np.linalg.norm(g))
-            if gnorm == 0.0:
-                break
-            x = x - (c / np.sqrt(k)) * g
-            f, g, dec = _norm_and_subgradient(fam, x)
-            norms.append(f)
-            if f < best_f:
-                best_f = f
-                best_x = x.copy()
+    norms = [best_dec.norm]
+    converged = _certified_optimal(fam, best_dec, a0_norm, cfg)
+    rel_mu = _MU_START
+    while not converged and len(norms) <= cfg.max_iter:
+        y = x_prev = best_x
+        dec, t = best_dec, 1.0
+        for _ in range(min(_STAGE, cfg.max_iter + 1 - len(norms))):
+            x = y - (rel_mu * a0_norm) * _smoothed_gradient(fam, dec, rel_mu, a0_norm)
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            x_prev, t = x, t_next
+            dec = _eig(fam.evaluate(y))
+            norms.append(dec.norm)
+            if dec.norm < best_dec.norm:
+                best_x, best_dec = y, dec
                 if _certified_optimal(fam, dec, a0_norm, cfg):
                     converged = True
                     break
+        rel_mu *= _MU_SHRINK
     return BestApproxResult(
-        x_star=best_x, dist=best_f, trace=np.array(norms), converged=converged
+        x_star=best_x, dist=best_dec.norm, trace=np.array(norms), converged=converged
     )

@@ -365,8 +365,8 @@ class TestBestApproximation:
     @pytest.mark.parametrize("a0", [np.ones((3, 3)) - np.eye(3), M1, random_one_sided_3x3(1000)],
                              ids=["J3-I3", "M1", "one-sided"])
     def test_scale_covariant(self, a0, c):
-        # steps are scaled by the start norm and A(x) = 0 is judged against
-        # ||A0||, so c A0 follows the path of A0 scaled by c
+        # the smoothing mu and the step mu are scaled by ||A0||, and A(x) = 0
+        # is judged against ||A0||, so c A0 follows the path of A0 scaled by c
         basis = build_diagonal(3)
         cfg = SolverConfig(max_iter=25)
         ref = best_approximation(AffineFamily(a0, basis), np.zeros(3), cfg)
@@ -412,6 +412,15 @@ class TestBestApproximation:
         # decomposition, and its matrix
         assert len(calls) == 2 + 25
         assert len(evaluations) == 2 + 25
+
+    @pytest.mark.parametrize("n, seed", [(3, s) for s in range(40, 45)] + [(4, s) for s in range(42, 45)])
+    def test_certified_within_default_budget(self, n, seed):
+        # accelerated smoothing settles these random diag inputs in 180-410
+        # of the 2,000 steps; n = 4 with seed 45 still uses them all
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(seed), n), build_diagonal(n))
+        result = best_approximation(fam, np.zeros(n))
+        assert result.converged and len(result.trace) - 1 < SolverConfig().max_iter
+        assert certified(fam, result)
 
     def test_never_below_grid_optimum(self):
         from oracles import grid_min_diag_norm

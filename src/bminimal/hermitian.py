@@ -107,24 +107,32 @@ def _as_hermitian_stack(arr: np.ndarray, name: str = "matrix") -> np.ndarray:
     """The rule of ``as_hermitian`` for every matrix of a nonempty complex
     (t, n, n) stack, checked in one pass: NaN/Inf anywhere fails, then the
     first element whose asymmetry exceeds INPUT_TOL times its own scale.
-    The messages call each matrix ``name``."""
+    The messages call each matrix ``name``.  Each element is checked and
+    symmetrized scaled by its own power of two, as ``unit_scaled`` scales,
+    so subnormal entries halve exactly and an exactly Hermitian one keeps
+    its bits."""
     # Every public eigensolve passes through here with t = 1, so the pass keeps
     # to few numpy calls: array methods, and per-element maxima over flat rows.
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
-    herm = symmetrize(arr)
     rows = (arr.shape[0], -1)
-    scale = np.abs(arr).reshape(rows).max(axis=1)
+    parts = np.ascontiguousarray(arr).view(float)  # real and imaginary parts
+    e = np.frexp(np.abs(parts).reshape(rows).max(axis=1))[1].reshape(-1, 1, 1)
+    unit = np.ldexp(parts, -e).view(complex)
+    herm = symmetrize(unit)
+    scale = np.abs(unit).reshape(rows).max(axis=1)
     # A - H(A) = (A - A*)/2, which cannot overflow where A - A* can
-    skew = np.abs(arr - herm).reshape(rows).max(axis=1)
+    skew = np.abs(unit - herm).reshape(rows).max(axis=1)
     bad = skew > (INPUT_TOL / 2) * scale
     if bad.any():
         k = int(bad.argmax())
+        with np.errstate(over="ignore"):  # a modulus may exceed the float range
+            skew_k, scale_k = np.ldexp([2 * skew[k], scale[k]], e.flat[k])
         raise ValueError(
-            f"{name} is not Hermitian: max asymmetry {2 * float(skew[k]):.3e} exceeds "
-            f"{INPUT_TOL:.1e} * {scale[k]:.3e}"
+            f"{name} is not Hermitian: max asymmetry {skew_k:.3e} exceeds "
+            f"{INPUT_TOL:.1e} * {scale_k:.3e}"
         )
-    return herm
+    return np.ldexp(herm.view(float), e).view(complex)
 
 
 def frobenius(a) -> float:

@@ -6,10 +6,11 @@ sign.  Minimality of A(x) is the condition 0 in d(lambda_max) +
 d(lambda_min); since each subdifferential is the moment of its extremal
 eigenspace, that condition is exactly the certification test, and
 ``is_minimal_variational`` is ``check_minimal`` on A(x).  Accelerated
-gradient on a smoothing of the extreme eigenvalues drives the best
-approximation dist(A0, B) = min_x ||A(x)||, decomposing each point it
-evaluates once and reusing that decomposition for its gradient and for the
-same verdict pipeline as its optimality test.
+gradient on a smoothing of the extreme eigenvalues, with steps sized by the
+curvature seen between successive points, drives the best approximation
+dist(A0, B) = min_x ||A(x)||, decomposing each point it evaluates once and
+reusing that decomposition for its gradient and for the same verdict
+pipeline as its optimality test.
 """
 
 from __future__ import annotations
@@ -190,6 +191,10 @@ def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, a0_norm: floa
 _MU_START = 0.05
 _MU_SHRINK = 0.5
 _STAGE = 150
+# The secant step (Malitsky and Mishchenko): at least mu, at most _STEP_GROWTH
+# times the step before, else _SECANT ||y_k - y_{k-1}|| / ||g_k - g_{k-1}||.
+_STEP_GROWTH = 2.0
+_SECANT = 0.5
 
 
 def _smoothed_gradient(fam: AffineFamily, dec: EigenDecomposition, rel_mu: float,
@@ -215,12 +220,16 @@ def best_approximation(
 
     Iteration starts from the best of x0, the unperturbed point x = 0 and
     the Frobenius projection of A0 onto the span (x = -coordinates of A0),
-    the earliest of equals.  FISTA steps of length mu (the gradient of f_mu
-    is 1/mu-Lipschitz in an orthonormal basis) restart at the best point
-    with mu halved every _STAGE steps.  Convergence is declared when the
-    check_minimal pipeline certifies 0 in d||A(x)|| at an improved point (or
-    its norm falls to default_cluster_tol(||A0||)), otherwise the cap is
-    reported.
+    the earliest of equals.  FISTA steps restart at the best point with mu
+    halved every _STAGE steps.  The first step of a stage has length mu (the
+    gradient of f_mu is 1/mu-Lipschitz in an orthonormal basis, its worst
+    case over all directions); each later one is the secant step
+    ||y_k - y_{k-1}|| / (2 ||g_k - g_{k-1}||) of the last two points and
+    their gradients, at least mu and at most twice the step before, and
+    unchanged when the two gradients are equal.  Convergence is declared
+    when the check_minimal pipeline certifies 0 in d||A(x)|| at an improved
+    point (or its norm falls to default_cluster_tol(||A0||)), otherwise the
+    cap is reported.
     """
     x = np.asarray(x0, dtype=float).copy()
     _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
@@ -240,8 +249,17 @@ def best_approximation(
     while not converged and len(norms) <= cfg.max_iter:
         y = x_prev = best_x
         dec, t = best_dec, 1.0
+        mu = rel_mu * a0_norm
+        step, y_old, g_old = 1.0, None, None  # the step in units of mu
         for _ in range(min(_STAGE, cfg.max_iter + 1 - len(norms))):
-            x = y - (rel_mu * a0_norm) * _smoothed_gradient(fam, dec, rel_mu, a0_norm)
+            g = _smoothed_gradient(fam, dec, rel_mu, a0_norm)
+            if g_old is not None and (g != g_old).any():
+                # the norm of (y_k - y_{k-1}) / mu: that of y_k - y_{k-1}
+                # underflows or overflows at the ends of the float range
+                secant = _SECANT * np.linalg.norm((y - y_old) / mu) / np.linalg.norm(g - g_old)
+                step = max(1.0, min(_STEP_GROWTH * step, secant))
+            y_old, g_old = y, g
+            x = y - (step * mu) * g
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             y = x + ((t - 1.0) / t_next) * (x - x_prev)
             x_prev, t = x, t_next

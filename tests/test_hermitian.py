@@ -13,7 +13,7 @@ from bminimal.hermitian import (
     min_eigpair,
     symmetrize,
 )
-from bminimal.minimality import construct_minimal, validate_certificate
+from bminimal.minimality import check_minimal, construct_minimal, validate_certificate
 from bminimal.moment import Subspace, compress_family, moment_of_density
 from oracles import rand_hermitian
 from suites import SCALES
@@ -43,6 +43,26 @@ class TestAsHermitian:
         # A - A* would overflow here; (A - A*)/2 does not
         with pytest.raises(ValueError, match="not Hermitian"):
             as_hermitian([[0.0, 1e308], [-1e308, 0.0]])
+
+    def test_rejects_complex_asymmetry_beyond_float_range(self):
+        # the modulus of these entries is not a float; the asymmetry is
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian([[0.0, 1.7e308 + 1.6e308j], [1.7e308 - 1.0e308j, 0.0]])
+
+    def test_subnormal_entries_keep_their_bits(self):
+        # halving an odd subnormal drops its last bit, and INPUT_TOL times a
+        # subnormal scale underflows; unit-scaled, neither happens
+        g = np.random.default_rng(1).standard_normal((3, 3))
+        a = 1e-318 * (g + g.T)
+        assert as_hermitian(a).tobytes() == a.astype(complex).tobytes()
+        basis = build_diagonal(3)
+        assert check_minimal(a, basis).verdict == check_minimal(np.ldexp(a, 1050), basis).verdict
+
+    @pytest.mark.parametrize("k", [-1074, -1060, -1030, -1000, 0, 1000, 1022])
+    def test_rejects_asymmetry_at_every_scale(self, k):
+        # entries 2^k and 2^(k-1), subnormal or zero at the low end
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian(np.ldexp([[0.0, 1.0], [0.5, 0.0]], k))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):

@@ -413,10 +413,11 @@ class TestBestApproximation:
         assert len(calls) == 2 + 25
         assert len(evaluations) == 2 + 25
 
-    @pytest.mark.parametrize("n, seed", [(3, s) for s in range(40, 45)] + [(4, s) for s in range(42, 45)])
+    @pytest.mark.parametrize("n, seed", [(3, s) for s in range(40, 45)]
+                             + [(4, s) for s in range(42, 46)] + [(5, 42)])
     def test_certified_within_default_budget(self, n, seed):
-        # accelerated smoothing settles these random diag inputs in 180-410
-        # of the 2,000 steps; n = 4 with seed 45 still uses them all
+        # curvature-adaptive steps settle these random diag inputs in 170-620
+        # of the 2,000 steps; n = 6 with seed 42 still uses them all
         fam = AffineFamily(rand_hermitian(np.random.default_rng(seed), n), build_diagonal(n))
         result = best_approximation(fam, np.zeros(n))
         assert result.converged and len(result.trace) - 1 < SolverConfig().max_iter

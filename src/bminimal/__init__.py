@@ -3,7 +3,7 @@
 Certifies whether ||A|| <= ||A + B|| for every B in a subalgebra given by
 an orthonormal Hermitian basis, through moment sets of extremal
 eigenspaces, minimality certificates A X = ||A|| |X|, eigenvalue
-subdifferentials, and best approximation by accelerated smoothing.
+subdifferentials, and best approximation by log-barrier Newton steps.
 """
 
 from .algebra import (

@@ -185,6 +185,7 @@ def _cmd_best_approx(args: argparse.Namespace) -> int:
     result = best_approximation(fam, x0, cfg)
     doc = {
         "dist": float(result.dist),
+        "lower": float(result.lower),
         "x_star": [float(v) for v in result.x_star],
         "converged": bool(result.converged),
         "iterations": len(result.trace) - 1,
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("best-approx", parents=[common, solver_flags],
-                       help="minimize ||A0 + sum x_k B_k|| by accelerated smoothing")
+                       help="minimize ||A0 + sum x_k B_k|| by log-barrier Newton steps")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x0", help="comma-separated start point (default zeros)")
     p.set_defaults(func=_cmd_best_approx)

@@ -5,12 +5,10 @@ the moment of the top eigenspace; the bottom eigenvalue mirrors it with a
 sign.  Minimality of A(x) is the condition 0 in d(lambda_max) +
 d(lambda_min); since each subdifferential is the moment of its extremal
 eigenspace, that condition is exactly the certification test, and
-``is_minimal_variational`` is ``check_minimal`` on A(x).  Accelerated
-gradient on a smoothing of the extreme eigenvalues, with steps sized by the
-curvature seen between successive points, drives the best approximation
-dist(A0, B) = min_x ||A(x)||, decomposing each point it evaluates once and
-reusing that decomposition for its gradient and for the same verdict
-pipeline as its optimality test.
+``is_minimal_variational`` is ``check_minimal`` on A(x).  The best
+approximation dist(A0, B) = min_x ||A(x)|| is the semidefinite program
+min tau s.t. -tau I <= A(x) <= tau I, which log-barrier Newton steps solve
+from one decomposition per point, with dual points that bound it below.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .hermitian import (
     default_cluster_tol,
     symmetrize,
 )
-from .minimality import MINIMAL, MinimalityReport, _verdict, check_minimal, spectral_split
+from .minimality import MinimalityReport, check_minimal, spectral_split
 from .moment import CompressedFamily, FWConfig, Subspace, compress_family, support_function
 
 KIND_LAMBDA_MAX = "lambda_max"
@@ -95,8 +93,9 @@ class SubdifferentialView:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step budget of the best-approximation loop and the Frank-Wolfe
-    settings of its optimality test.  ``fw.dist_tol`` is in moment space."""
+    """Step budget of the best-approximation loop, and in ``fw.dist_tol`` the
+    width, relative to ||A0||, at which its interval [lower, dist] counts as
+    converged; the other Frank-Wolfe settings are not read."""
 
     max_iter: int = 2000
     fw: FWConfig = field(default_factory=FWConfig)
@@ -107,15 +106,21 @@ class SolverConfig:
             raise ValueError(f"fw must be an FWConfig, got {self.fw!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-result __dict__: callers may keep many
 class BestApproxResult:
     """``trace[k]`` is ||A(x_k)|| at step k = 0, ..., iterations, so the
-    run took ``len(trace) - 1`` steps."""
+    run took ``len(trace) - 1`` steps.  dist(A0, B) lies in [lower, dist]:
+    lower is 0, or at most the bound of ``barrier``, the 2t + 2 floats (x,
+    tau, dx, dtau) by which P+- = (tau I -+ A(x))^-1 and S = sum_k dx_k B_k
+    give X = P+ - P- + P+ (S - dtau I) P+ + P- (S + dtau I) P-, and X' = X -
+    combine(coords(X)) gives tr(A0 X') / ||X'||_1."""
 
     x_star: np.ndarray
     dist: float
     trace: np.ndarray  # (iterations + 1,) float
     converged: bool
+    lower: float = 0.0
+    barrier: np.ndarray | None = None  # (2t + 2,) float
 
 
 def _side(fam: AffineFamily, dec: EigenDecomposition, top: bool) -> CompressedFamily:
@@ -176,39 +181,49 @@ def is_minimal_variational(
     return check_minimal(fam.evaluate(x), fam.basis, cfg)
 
 
-def _certified_optimal(fam: AffineFamily, dec: EigenDecomposition, a0_norm: float,
-                       cfg: SolverConfig) -> bool:
-    """0 in d||A(x)||, given the decomposition of A(x): its norm is at most
-    default_cluster_tol(||A0||), or the check_minimal pipeline says minimal."""
-    if dec.norm <= default_cluster_tol(a0_norm):
-        return True
-    return _verdict(dec, fam.basis, cfg.fw).verdict == MINIMAL
+# The barrier path of best_approximation, in units of ||A0||: it starts at
+# tau = ||A(x)|| + _TAU_MARGIN with weight eta = 2n / tau, eta grows
+# _ETA_GROWTH-fold once the Newton decrement is below _RECENTER, and a step
+# is damped by 1 / (1 + decrement) while that is _FULL_STEP or more.
+_TAU_MARGIN = 0.5
+_ETA_GROWTH = 8.0
+_RECENTER = 0.5
+_FULL_STEP = 0.25
 
 
-# Smoothing schedule of best_approximation: mu starts at _MU_START * ||A0||
-# and halves each time a stage of _STAGE accelerated steps restarts from the
-# best point, so c A0 follows the path of A0 scaled by c.
-_MU_START = 0.05
-_MU_SHRINK = 0.5
-_STAGE = 150
-# The secant step (Malitsky and Mishchenko): at least mu, at most _STEP_GROWTH
-# times the step before, else _SECANT ||y_k - y_{k-1}|| / ||g_k - g_{k-1}||.
-_STEP_GROWTH = 2.0
-_SECANT = 0.5
-
-
-def _smoothed_gradient(fam: AffineFamily, dec: EigenDecomposition, rel_mu: float,
-                       a0_norm: float) -> np.ndarray:
-    """Gradient in x of f_mu = mu log sum_i (e^{lam_i/mu} + e^{-lam_i/mu}),
-    mu = rel_mu ||A0||, at the point dec decomposes: coords(Q diag(p) Q*), p
-    the first half of softmax((lam, -lam)/mu) minus its second.  Exponents
-    are shifted by ||A(x)|| and built from ratios of norms, so none overflows
-    and an underflowed mu divides nothing."""
-    lam = dec.eigenvalues
-    e = np.exp((np.concatenate([lam, -lam]) / dec.norm - 1.0) * (dec.norm / a0_norm / rel_mu))
-    p = (e[:lam.size] - e[lam.size:]) / e.sum()
-    q = dec.vectors
-    return fam.basis.coords((q * p) @ q.conj().T).real
+def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, eta: float, scale: float):
+    """At a point (x, tau) of eta tau - sum log(tau -+ lam), tau > ||A(x)||, with
+    A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower
+    bound on dist(A0, B) of the Newton step d at eta, d, and the damped step
+    to take with its eta, or None if rounding has made the Hessian singular.
+    With M_k = Q* B_k Q and d+- = 1 / (tau -+ lam), the Hessian is the Gram
+    matrix of the derivatives -+M_k and I of tau I -+ A(x) whitened by
+    diag(d+-)^(1/2), and minus their traces is the gradient.  X = Q diag(d+ -
+    d-) Q* moved along d has zero coordinates; X' = X - combine(coords(X))
+    (for rounding) gives the bound L(X') = tr(A0 X') / ||X'||_1."""
+    lam = dec.eigenvalues / scale
+    dp, dm = 1.0 / (tau - lam), 1.0 / (tau + lam)
+    q, m = dec.vectors, fam.basis.compress_to(dec.vectors)
+    sides = [np.concatenate([sign * m * np.outer(r, r), np.diag(r * r)[None]])
+             for sign, r in ((-1.0, np.sqrt(dp)), (1.0, np.sqrt(dm)))]
+    flat = np.concatenate(sides, axis=1).reshape(fam.t + 1, -1)
+    hess, grad = (flat.conj() @ flat.T).real, -np.einsum("kii->k", sides[0] + sides[1]).real
+    try:
+        solved = np.linalg.solve(hess, -np.column_stack([grad, np.eye(fam.t + 1)[-1]]))
+    except np.linalg.LinAlgError:
+        return None
+    etas = eta * np.array([1.0, _ETA_GROWTH])  # the steps at eta and at the grown eta
+    steps = solved[:, :1] + etas * solved[:, 1:]
+    decrements = np.sqrt(np.maximum(-(grad @ steps + etas * steps[-1]), 0.0))
+    y = (np.outer(dp, dp) + np.outer(dm, dm)) * np.tensordot(steps[:-1, 0], m, axes=1)
+    y[np.diag_indices_from(y)] += dp - dm - steps[-1, 0] * (dp * dp - dm * dm)
+    x_dual = (q @ y) @ q.conj().T
+    x_perp = x_dual - fam.basis.combine(fam.basis.coords(x_dual).real)
+    trace_norm = np.abs(np.linalg.eigvalsh(x_perp)).sum()
+    lower = np.vdot(x_perp, fam.a0 / scale).real / trace_norm if trace_norm > 0.0 else 0.0
+    grow = int(decrements[0] < _RECENTER)
+    damping = 1.0 + decrements[grow] if decrements[grow] >= _FULL_STEP else 1.0
+    return float(lower), steps[:, 0], steps[:, grow] / damping, etas[grow]
 
 
 def best_approximation(
@@ -216,21 +231,15 @@ def best_approximation(
     x0,
     cfg: SolverConfig = SolverConfig(),
 ) -> BestApproxResult:
-    """Minimize ||A(x)|| by accelerated gradient on its smoothing f_mu.
-
-    Iteration starts from the best of x0, the unperturbed point x = 0 and
-    the Frobenius projection of A0 onto the span (x = -coordinates of A0),
-    the earliest of equals.  FISTA steps restart at the best point with mu
-    halved every _STAGE steps.  The first step of a stage has length mu (the
-    gradient of f_mu is 1/mu-Lipschitz in an orthonormal basis, its worst
-    case over all directions); each later one is the secant step
-    ||y_k - y_{k-1}|| / (2 ||g_k - g_{k-1}||) of the last two points and
-    their gradients, at least mu and at most twice the step before, and
-    unchanged when the two gradients are equal.  Convergence is declared
-    when the check_minimal pipeline certifies 0 in d||A(x)|| at an improved
-    point (or its norm falls to default_cluster_tol(||A0||)), otherwise the
-    cap is reported.
-    """
+    """Minimize ||A(x)||, the semidefinite program min tau s.t. -tau I <=
+    A(x) <= tau I, by log-barrier Newton steps (``_newton``) from the
+    decomposition each point already gets, their dual points bounding it
+    below.  Iteration starts from the best of x0, the unperturbed point
+    x = 0 and the Frobenius projection of A0 onto the span (x = -coordinates
+    of A0), the earliest of equals.  Convergence is declared when [lower,
+    dist] is at most fw.dist_tol ||A0|| wide or ||A(x)|| is at most
+    default_cluster_tol(||A0||); else the cap is reported, or an earlier
+    stop where rounding ends the path."""
     x = np.asarray(x0, dtype=float).copy()
     _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
 
@@ -239,38 +248,28 @@ def best_approximation(
     candidates = (x, np.zeros(fam.t), -fam.basis.coords(fam.a0).real)
     evaluated = [_eig(fam.evaluate(cand)) if cand.any() else at_zero
                  for cand in candidates]
-    a0_norm = at_zero.norm
+    scale = at_zero.norm or 1.0  # any unit serves A0 = 0, which the zero rule settles
     pick = int(np.argmin([dec.norm for dec in evaluated]))
     best_x, best_dec = candidates[pick], evaluated[pick]
 
-    norms = [best_dec.norm]
-    converged = _certified_optimal(fam, best_dec, a0_norm, cfg)
-    rel_mu = _MU_START
-    while not converged and len(norms) <= cfg.max_iter:
-        y = x_prev = best_x
-        dec, t = best_dec, 1.0
-        mu = rel_mu * a0_norm
-        step, y_old, g_old = 1.0, None, None  # the step in units of mu
-        for _ in range(min(_STAGE, cfg.max_iter + 1 - len(norms))):
-            g = _smoothed_gradient(fam, dec, rel_mu, a0_norm)
-            if g_old is not None and (g != g_old).any():
-                # the norm of (y_k - y_{k-1}) / mu: that of y_k - y_{k-1}
-                # underflows or overflows at the ends of the float range
-                secant = _SECANT * np.linalg.norm((y - y_old) / mu) / np.linalg.norm(g - g_old)
-                step = max(1.0, min(_STEP_GROWTH * step, secant))
-            y_old, g_old = y, g
-            x = y - (step * mu) * g
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
-            x_prev, t = x, t_next
-            dec = _eig(fam.evaluate(y))
-            norms.append(dec.norm)
-            if dec.norm < best_dec.norm:
-                best_x, best_dec = y, dec
-                if _certified_optimal(fam, dec, a0_norm, cfg):
-                    converged = True
-                    break
-        rel_mu *= _MU_SHRINK
-    return BestApproxResult(
-        x_star=best_x, dist=best_dec.norm, trace=np.array(norms), converged=converged
-    )
+    norms, lower, barrier = [best_dec.norm], 0.0, None  # lower in units of ||A0||
+    x, dec = best_x, best_dec
+    tau = dec.norm / scale + _TAU_MARGIN
+    eta = 2 * fam.basis.n / tau
+    while True:
+        zero = best_dec.norm <= default_cluster_tol(scale)  # no bound needed, nor sound
+        at = _newton(fam, dec, tau, eta, scale) if tau > dec.norm / scale and not zero else None
+        if at is not None and at[0] > lower:
+            lower, barrier = at[0], np.concatenate([x, scale * np.append(tau, at[1])])
+        converged = zero or best_dec.norm / scale - lower <= cfg.fw.dist_tol
+        if converged or at is None or len(norms) > cfg.max_iter:
+            break
+        step, eta = at[2:]
+        x, tau = x + scale * step[:-1], tau + step[-1]
+        dec = _eig(fam.evaluate(x))
+        norms.append(dec.norm)
+        if dec.norm < best_dec.norm:
+            best_x, best_dec = x, dec
+    lower = min(lower * scale, best_dec.norm)  # the two agree to rounding at an optimum
+    return BestApproxResult(x_star=best_x, dist=best_dec.norm, trace=np.array(norms),
+                            converged=converged, lower=lower, barrier=barrier)

@@ -138,6 +138,56 @@ def certificate_problems(a, x, stack: np.ndarray, dist_tol: float) -> str | None
     return None
 
 
+def interval_problems(a0, stack: np.ndarray, result, upper: float | None = None) -> str | None:
+    """Why the best-approximation result's interval [lower, dist] does not
+    hold dist(A0, B) for the algebra of the orthonormal Hermitian stack
+    (t, n, n), or None.  Everything is computed in units of ||A0||.
+
+    dist must be ||A0 + sum_k x_star_k B_k|| by eigvalsh, within 1e-12
+    relative.  lower must be 0 when the result has no dual witness;
+    otherwise the witness ``barrier`` = (x, tau, dx, dtau) rebuilds, from
+    A(x) = V diag(w) V* by eigh, d+- = 1 / (tau -+ w) and S = V* (sum_k dx_k
+    B_k) V, the dual point X = V Y V* with Y = (d+ d+^T + d- d-^T) * S +
+    diag(d+ - d- - dtau (d+^2 - d-^2)), which is (tau I - A)^-1 - (tau I +
+    A)^-1 plus its derivative along (dx, dtau); X' = X - sum_k tr(B_k X) B_k
+    gives tr(A0 X') / ||X'||_1 by eigvalsh, which must match lower within
+    1e-8 + 16 eps / gap, the precision to which the witness fixes X at the
+    gap tau - ||A(x)||.  lower must be at most dist, and at most ``upper``
+    (an independent upper bound on the distance) when given, within 1e-12."""
+    a0 = np.asarray(a0, dtype=complex)
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(a0))))
+    unit = a0 / scale
+    def family(x):
+        return unit + np.einsum("k,kij->ij", np.asarray(x, dtype=float) / scale, stack)
+    dist = float(np.max(np.abs(np.linalg.eigvalsh(family(result.x_star)))))
+    if abs(result.dist / scale - dist) > 1e-12 * max(dist, 1.0):
+        return f"dist {result.dist!r} != ||A(x_star)|| = {dist * scale!r}"
+    lower = result.lower / scale
+    if result.barrier is None:
+        if lower != 0.0:
+            return f"lower {result.lower!r} without a dual witness"
+    else:
+        t = stack.shape[0]
+        x, tau, dx, dtau = np.split(np.asarray(result.barrier), [t, t + 1, 2 * t + 1])
+        a, tau, dtau = family(x), float(tau[0]) / scale, float(dtau[0]) / scale
+        w, v = np.linalg.eigh(a)
+        dp, dm = 1.0 / (tau - w), 1.0 / (tau + w)
+        s = v.conj().T @ (family(dx) - unit) @ v
+        y = (np.outer(dp, dp) + np.outer(dm, dm)) * s + np.diag(dp - dm - dtau * (dp**2 - dm**2))
+        x_dual = v @ y @ v.conj().T
+        x_dual = (x_dual + x_dual.conj().T) / 2
+        x_perp = x_dual - np.einsum("k,kij->ij", coordinates(stack, x_dual), stack)
+        bound = np.real(np.trace(unit @ x_perp)) / np.sum(np.abs(np.linalg.eigvalsh(x_perp)))
+        gap = tau - float(np.max(np.abs(w)))
+        if abs(bound - lower) > 1e-8 + 16 * np.finfo(float).eps / gap:
+            return f"lower {result.lower!r} != {bound * scale!r} from the dual witness"
+    if lower > dist + 1e-12:
+        return f"lower {result.lower!r} exceeds dist {result.dist!r}"
+    if upper is not None and lower > upper / scale + 1e-12:
+        return f"lower {result.lower!r} exceeds the upper bound {upper!r}"
+    return None
+
+
 def support_problems(v, w, r_plus, r_minus, stack: np.ndarray, dist_tol: float) -> str | None:
     """Why the witnesses do not show that the moments of the frames V and W
     meet, or None: each must be a density matrix (Hermitian, eigenvalues at

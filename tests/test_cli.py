@@ -11,6 +11,7 @@ from bminimal import algebra, hermitian
 from bminimal import io as bio
 from bminimal.cli import main
 from bminimal.moment import Subspace
+from oracles import rand_hermitian
 from suites import MALFORMED, SCALES, constructed_minimal_3x3, support_matrix, twin_pair
 
 IV = 1 / np.sqrt(2)
@@ -316,6 +317,21 @@ class TestBestApproxAndDirDeriv:
         assert code == 0
         assert abs(doc["dist"] - 1.0) <= 0.02
         assert np.linalg.norm(doc["x_star"]) <= 0.05
+        assert set(doc) == {"dist", "lower", "x_star", "converged", "iterations"}
+        assert doc["converged"] and doc["lower"] <= doc["dist"]
+
+    @pytest.mark.parametrize("seed", [40, 44])
+    def test_best_approx_converges_from_a_start(self, tmp_path, capsys, seed):
+        # from this start the interval [lower, dist] of these random 3 x 3
+        # inputs narrows to --tol ||A0|| well within a 300-step budget
+        a = rand_hermitian(np.random.default_rng(seed), 3)
+        path = write_matrix(tmp_path / "a.json", a)
+        code = main(["best-approx", "--matrix", path, "--algebra", "diag",
+                     "--max-iter", "300", "--x0", "0.5,0.5,0.5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["converged"] and doc["iterations"] <= 50
+        norm = np.max(np.abs(np.linalg.eigvalsh(a)))
+        assert 0.0 <= doc["dist"] - doc["lower"] <= 1e-6 * norm
 
     def test_dirderiv_zero_direction(self, m1_file, capsys):
         code = main(["dirderiv", "--matrix", m1_file, "--algebra", "diag",

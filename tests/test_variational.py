@@ -12,11 +12,10 @@ from bminimal.minimality import (
     check_minimal,
     default_cluster_tol,
 )
-from bminimal.moment import support_function
+from bminimal.moment import FWConfig, support_function
 from bminimal.variational import (
     AffineFamily,
     SolverConfig,
-    _certified_optimal,
     best_approximation,
     directional_derivative,
     is_minimal_variational,
@@ -24,7 +23,7 @@ from bminimal.variational import (
     subdiff_lambda_min,
     subdiff_norm,
 )
-from oracles import rand_hermitian
+from oracles import grid_min_diag_norm, interval_problems, rand_hermitian
 from suites import SCALES, grid_agreement_suite, random_one_sided_3x3
 
 M1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -38,11 +37,15 @@ def lam_max(fam, x):
     return float(eig_hermitian(fam.evaluate(x)).eigenvalues[-1])
 
 
-def certified(fam, result):
-    """What ``converged`` promises: check_minimal says minimal at x_star, or
-    the distance itself is zero relative to A0."""
-    return (result.dist <= default_cluster_tol(eig_hermitian(fam.a0).norm)
-            or check_minimal(fam.evaluate(result.x_star), fam.basis).verdict == MINIMAL)
+def certified(fam, result, upper=None):
+    """What ``converged`` promises: the interval [lower, dist] holds the
+    distance by the numpy-only ``interval_problems`` and is at most
+    FWConfig().dist_tol ||A0|| wide, or the distance itself is zero relative
+    to A0."""
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(fam.a0))))
+    return interval_problems(fam.a0, fam.basis.elements, result, upper) is None and (
+        result.dist <= default_cluster_tol(scale)
+        or result.dist - result.lower <= FWConfig().dist_tol * scale)
 
 
 class TestTwoSidedBoundary:
@@ -52,10 +55,10 @@ class TestTwoSidedBoundary:
         # share the moment (1/2, 1/2) against the diagonals
         basis = build_diagonal(2)
         tau = default_cluster_tol(1.0)
-        expected = [(0.5, MINIMAL, "norm_both", True),
-                    (1.5, UNDECIDED, "norm_max_side", False),
-                    (2.5, NOT_MINIMAL, "norm_max_side", False)]
-        for factor, verdict, kind, optimal in expected:
+        expected = [(0.5, MINIMAL, "norm_both"),
+                    (1.5, UNDECIDED, "norm_max_side"),
+                    (2.5, NOT_MINIMAL, "norm_max_side")]
+        for factor, verdict, kind in expected:
             d = factor * tau
             a = np.array([[d / 2, 1.0], [1.0, d / 2]])
             fam = AffineFamily(a, basis)
@@ -64,9 +67,6 @@ class TestTwoSidedBoundary:
             assert check_minimal(a, basis).verdict == verdict
             assert is_minimal_variational(fam, x).verdict == verdict
             assert subdiff_norm(fam, x).kind == kind
-            dec = eig_hermitian(fam.evaluate(x))
-            # x = 0, so A(x) is A0 and its norm is ||A0||
-            assert _certified_optimal(fam, dec, dec.norm, SolverConfig()) is optimal
 
 
 class TestEvaluate:
@@ -365,14 +365,15 @@ class TestBestApproximation:
     @pytest.mark.parametrize("a0", [np.ones((3, 3)) - np.eye(3), M1, random_one_sided_3x3(1000)],
                              ids=["J3-I3", "M1", "one-sided"])
     def test_scale_covariant(self, a0, c):
-        # the smoothing mu and the step mu are scaled by ||A0||, and A(x) = 0
-        # is judged against ||A0||, so c A0 follows the path of A0 scaled by c
+        # the barrier path runs in units of ||A0||, and A(x) = 0 is judged
+        # against ||A0||, so c A0 follows the path of A0 scaled by c
         basis = build_diagonal(3)
         cfg = SolverConfig(max_iter=25)
         ref = best_approximation(AffineFamily(a0, basis), np.zeros(3), cfg)
         res = best_approximation(AffineFamily(c * a0, basis), np.zeros(3), cfg)
         assert res.converged == ref.converged
         assert res.dist / c == pytest.approx(ref.dist, rel=1e-9)
+        assert res.lower / c == pytest.approx(ref.lower, rel=1e-9)
 
     def test_one_decomposition_per_point(self, monkeypatch):
         real = hermitian._eig
@@ -404,28 +405,73 @@ class TestBestApproximation:
         fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
         # A0 is validated once, by AffineFamily; no point of the run is
         assert len(passes) == 1
-        result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=25))
-        assert not result.converged and len(result.trace) == 26
+        # 10 steps: this input converges in 17
+        result = best_approximation(fam, np.zeros(4), SolverConfig(max_iter=10))
+        assert not result.converged and len(result.trace) == 11
         assert len(passes) == 1
         # two start candidates (x0 = 0 is the unperturbed point), then one
-        # point per step; the optimality test reuses each improved point's
-        # decomposition, and its matrix
-        assert len(calls) == 2 + 25
-        assert len(evaluations) == 2 + 25
+        # point per step; the Newton step and the lower bound reuse each
+        # point's decomposition
+        assert len(calls) == 2 + 10
+        assert len(evaluations) == 2 + 10
 
     @pytest.mark.parametrize("n, seed", [(3, s) for s in range(40, 45)]
-                             + [(4, s) for s in range(42, 46)] + [(5, 42)])
+                             + [(4, s) for s in range(42, 46)] + [(5, 42), (6, 42), (8, 42)])
     def test_certified_within_default_budget(self, n, seed):
-        # curvature-adaptive steps settle these random diag inputs in 170-620
-        # of the 2,000 steps; n = 6 with seed 42 still uses them all
+        # the barrier path settles these random diag inputs in 13-22 of the
+        # 2,000 steps
         fam = AffineFamily(rand_hermitian(np.random.default_rng(seed), n), build_diagonal(n))
         result = best_approximation(fam, np.zeros(n))
-        assert result.converged and len(result.trace) - 1 < SolverConfig().max_iter
+        assert result.converged and len(result.trace) - 1 <= 50
         assert certified(fam, result)
 
-    def test_never_below_grid_optimum(self):
-        from oracles import grid_min_diag_norm
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_certified_under_pauli_within_default_budget(self, seed):
+        # pauli:3 spans the diagonal algebra of C^8 in another basis
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(seed), 8), build_pauli_diagonal(3))
+        result = best_approximation(fam, np.zeros(8))
+        assert result.converged and len(result.trace) - 1 <= 50
+        assert certified(fam, result)
 
+    def test_non_unital_span_at_its_optimum(self):
+        # span{E11} in M2: ||diag(1 + x, -0.5)|| is least, 0.5, for |1 + x| <=
+        # 0.5, and the projection of A0 (x = -1) starts there
+        fam = AffineFamily(np.diag([1.0, -0.5]), orthonormalize([np.diag([1.0, 0.0])]))
+        result = best_approximation(fam, np.zeros(1))
+        assert result.converged and len(result.trace) == 1
+        assert result.dist == 0.5 and result.lower == pytest.approx(0.5, rel=1e-6)
+        assert certified(fam, result)
+
+    def test_non_unital_span_certified(self):
+        # span{E11, E22} in M3, which holds no identity: the interval needs
+        # no unital verdict
+        g = np.random.default_rng(7).standard_normal((3, 3))
+        basis = orthonormalize([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+        fam = AffineFamily((g + g.T) / 2, basis)
+        result = best_approximation(fam, np.zeros(2))
+        assert result.converged and len(result.trace) - 1 <= 50
+        assert certified(fam, result)
+        assert 0.5330014 <= result.lower <= result.dist <= 0.5330022
+
+    def test_interval_on_grid_suite(self):
+        # from x0 = 0 a minimal A gets a lower end within tol ||A|| of ||A||,
+        # and a one-sided one an upper end below it: the interval agrees with
+        # check_minimal, and holds the grid optimum of the one-sided ones
+        basis = build_diagonal(3)
+        tol = FWConfig().dist_tol
+        for a in grid_agreement_suite():
+            fam = AffineFamily(a, basis)
+            result = best_approximation(fam, np.zeros(3))
+            norm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+            minimal = check_minimal(a, basis).verdict == MINIMAL
+            assert certified(fam, result, upper=norm if minimal else grid_min_diag_norm(a))
+            assert result.converged
+            if minimal:
+                assert result.lower >= norm * (1.0 - tol)
+            else:
+                assert result.dist < norm * (1.0 - tol)
+
+    def test_never_below_grid_optimum(self):
         basis = build_diagonal(3)
         for seed in (1000, 1001):
             a = random_one_sided_3x3(seed)
@@ -433,9 +479,11 @@ class TestBestApproximation:
             result = best_approximation(fam, np.zeros(3))
             grid_min = grid_min_diag_norm(a)
             # the 0.02-step grid overshoots the true optimum by up to one
-            # step, which the continuous solver may legitimately beat
+            # step, which the continuous solver may legitimately beat; the
+            # lower end of the interval may not
             assert result.dist >= grid_min - 0.02
             assert result.dist <= grid_min + 0.05
+            assert result.lower <= grid_min
 
     def test_never_worse_than_zero_perturbation(self):
         rng = np.random.default_rng(57)

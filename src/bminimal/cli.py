@@ -181,7 +181,7 @@ def _cmd_best_approx(args: argparse.Namespace) -> int:
     a, basis = _load_matrix(args)
     fam = AffineFamily(a, basis)
     x0 = np.zeros(fam.t) if args.x0 is None else _parse_vector(args.x0, fam.t, "--x0")
-    cfg = SolverConfig(max_iter=args.max_iter, fw=FWConfig(gap_tol=args.gap_tol, dist_tol=args.tol))
+    cfg = SolverConfig(max_iter=args.max_iter, fw=FWConfig(dist_tol=args.tol))
     result = best_approximation(fam, x0, cfg)
     doc = {
         "dist": float(result.dist),
@@ -205,12 +205,10 @@ def _cmd_dirderiv(args: argparse.Namespace) -> int:
 
 
 def _budget_flags(max_iter: int) -> argparse.ArgumentParser:
-    """--tol, --gap-tol and --max-iter, defaulting to FWConfig's tolerances and ``max_iter``."""
+    """--tol and --max-iter, defaulting to FWConfig's distance tolerance and ``max_iter``."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--tol", type=float, default=FWConfig().dist_tol,
                        help="distance tolerance (default %(default)s)")
-    flags.add_argument("--gap-tol", type=float, default=FWConfig().gap_tol,
-                       help="Frank-Wolfe gap tolerance (default %(default)s)")
     flags.add_argument("--max-iter", type=int, default=max_iter,
                        help="iteration budget (default %(default)s)")
     return flags
@@ -230,6 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="diag | pauli:q | block:SPEC (e.g. 2d,2f) | custom:FILE")
     common.add_argument("--output", help="also write the stdout payload to this file")
     fw_flags = _budget_flags(FWConfig().max_iter)
+    fw_flags.add_argument("--gap-tol", type=float, default=FWConfig().gap_tol,
+                          help="Frank-Wolfe gap tolerance (default %(default)s)")
     solver_flags = _budget_flags(SolverConfig().max_iter)
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -61,7 +61,7 @@ class ExtremalSpaces:
     minus: Subspace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-result __dict__: callers may keep many
 class Certificate:
     """Witness X = Q+ R+ Q+* - Q- R- Q-* of minimality.
 
@@ -76,7 +76,7 @@ class Certificate:
     residual_perp: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimalityReport:
     verdict: str
     reason: str

@@ -122,7 +122,7 @@ class FWConfig:
         _require_count(self.max_iter, "max_iter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-result __dict__: callers may keep many
 class FWResult:
     """Outcome of the moment-distance solve.
 

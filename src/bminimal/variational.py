@@ -182,20 +182,20 @@ def is_minimal_variational(
 
 
 # The barrier path of best_approximation, in units of ||A0||: it starts at
-# tau = ||A(x)|| + _TAU_MARGIN with weight eta = 2n / tau, eta grows
-# _ETA_GROWTH-fold once the Newton decrement is below _RECENTER, and a step
-# is damped by 1 / (1 + decrement) while that is _FULL_STEP or more.
+# tau = ||A(x)|| + _TAU_MARGIN with eta = 2n / tau and damps a step by 1 / (1 +
+# decrement) while that is _FULL_STEP or more.  Below _RECENTER, eta rises to
+# 2n / (_SIGMA (tau - lower)): the central gap 2n / eta is _SIGMA times the certified one.
 _TAU_MARGIN = 0.5
-_ETA_GROWTH = 8.0
-_RECENTER = 0.5
+_SIGMA = 0.03
+_RECENTER = 1.0
 _FULL_STEP = 0.25
 
 
-def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, eta: float, scale: float):
+def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, etas: np.ndarray, scale: float):
     """At a point (x, tau) of eta tau - sum log(tau -+ lam), tau > ||A(x)||, with
-    A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower
-    bound on dist(A0, B) of the Newton step d at eta, d, and the damped step
-    to take with its eta, or None if rounding has made the Hessian singular.
+    A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower bound
+    on dist(A0, B) of the Newton step d at etas[0], d, and the damped step to take
+    with its eta (etas[1] near the centre), or None if the Hessian is singular.
     With M_k = Q* B_k Q and d+- = 1 / (tau -+ lam), the Hessian is the Gram
     matrix of the derivatives -+M_k and I of tau I -+ A(x) whitened by
     diag(d+-)^(1/2), and minus their traces is the gradient.  X = Q diag(d+ -
@@ -212,8 +212,7 @@ def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, eta: float, 
         solved = np.linalg.solve(hess, -np.column_stack([grad, np.eye(fam.t + 1)[-1]]))
     except np.linalg.LinAlgError:
         return None
-    etas = eta * np.array([1.0, _ETA_GROWTH])  # the steps at eta and at the grown eta
-    steps = solved[:, :1] + etas * solved[:, 1:]
+    steps = solved[:, :1] + etas * solved[:, 1:]  # the steps at either eta
     decrements = np.sqrt(np.maximum(-(grad @ steps + etas * steps[-1]), 0.0))
     y = (np.outer(dp, dp) + np.outer(dm, dm)) * np.tensordot(steps[:-1, 0], m, axes=1)
     y[np.diag_indices_from(y)] += dp - dm - steps[-1, 0] * (dp * dp - dm * dm)
@@ -253,12 +252,13 @@ def best_approximation(
     best_x, best_dec = candidates[pick], evaluated[pick]
 
     norms, lower, barrier = [best_dec.norm], 0.0, None  # lower in units of ||A0||
-    x, dec = best_x, best_dec
-    tau = dec.norm / scale + _TAU_MARGIN
+    x, dec, tau = best_x, best_dec, best_dec.norm / scale + _TAU_MARGIN
     eta = 2 * fam.basis.n / tau
     while True:
         zero = best_dec.norm <= default_cluster_tol(scale)  # no bound needed, nor sound
-        at = _newton(fam, dec, tau, eta, scale) if tau > dec.norm / scale and not zero else None
+        gap = tau - lower  # rounding can close it; eta then stays
+        etas = np.array([eta, max(eta, 2 * fam.basis.n / (_SIGMA * gap)) if gap > 0.0 else eta])
+        at = _newton(fam, dec, tau, etas, scale) if tau > dec.norm / scale and not zero else None
         if at is not None and at[0] > lower:
             lower, barrier = at[0], np.concatenate([x, scale * np.append(tau, at[1])])
         converged = zero or best_dec.norm / scale - lower <= cfg.fw.dist_tol

@@ -606,6 +606,7 @@ class TestUnreadFlags:
         *[(c, "--seed") for c in ("check", "certificate", "support", "construct",
                                   "best-approx", "dirderiv")],
         *[(c, f) for c in ("moment", "dirderiv") for f in ("--tol", "--gap-tol", "--max-iter")],
+        ("best-approx", "--gap-tol"),
     ])
     def test_refused(self, tmp_path, capsys, command, flag):
         m1 = write_matrix(tmp_path / "m1.json", M1)

@@ -357,6 +357,18 @@ class TestPublicFields:
                           (Certificate, ("x", "residual_eq", "residual_perp"))):
             assert tuple(f.name for f in dataclasses.fields(cls)) == kept
 
+    def test_results_carry_no_instance_dict(self):
+        # slots: a caller that keeps many results holds no __dict__ per result
+        report = check_minimal(M1, build_diagonal(3))
+        fw = moment_distance(Subspace(np.eye(3)[:, :1]), Subspace(np.eye(3)[:, 1:2]),
+                             build_diagonal(3))
+        for result in (report, report.certificate, fw):
+            assert not hasattr(result, "__dict__")
+            fields = dataclasses.asdict(result)
+            assert set(fields) == {f.name for f in dataclasses.fields(result)}
+        assert dataclasses.asdict(report)["certificate"]["residual_eq"] == \
+            report.certificate.residual_eq
+
     def test_certificate_basis_required(self):
         param = inspect.signature(build_certificate).parameters["basis"]
         assert param.default is inspect.Parameter.empty

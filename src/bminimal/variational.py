@@ -185,36 +185,42 @@ def is_minimal_variational(
 # tau = ||A(x)|| + _TAU_MARGIN with eta = 2n / tau and damps a step by 1 / (1 +
 # decrement) while that is _FULL_STEP or more.  Below _RECENTER, eta rises to
 # 2n / (_SIGMA (tau - lower)): the central gap 2n / eta is _SIGMA times the certified one.
+# A step that rounding takes out of the domain is halved, at most _HALVINGS times.
 _TAU_MARGIN = 0.5
 _SIGMA = 0.03
 _RECENTER = 1.0
 _FULL_STEP = 0.25
+_HALVINGS = 4
 
 
 def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, etas: np.ndarray, scale: float):
     """At a point (x, tau) of eta tau - sum log(tau -+ lam), tau > ||A(x)||, with
     A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower bound
     on dist(A0, B) of the Newton step d at etas[0], d, and the damped step to take
-    with its eta (etas[1] near the centre), or None if the Hessian is singular.
-    With M_k = Q* B_k Q and d+- = 1 / (tau -+ lam), the Hessian is the Gram
-    matrix of the derivatives -+M_k and I of tau I -+ A(x) whitened by
-    diag(d+-)^(1/2), and minus their traces is the gradient.  X = Q diag(d+ -
-    d-) Q* moved along d has zero coordinates; X' = X - combine(coords(X))
-    (for rounding) gives the bound L(X') = tr(A0 X') / ||X'||_1."""
+    with its eta (etas[1] near the centre), or None if the Hessian's SVD fails.
+    With M_k = Q* B_k Q, d+- = 1 / (tau -+ lam) and w = d+ d+^T + d- d-^T, the
+    Hessian in x is the Gram matrix Re sum_ij w_ij conj(M_k,ij) M_l,ij of the
+    stack weighted by w, its tau column diag(M_k) . (d-^2 - d+^2) and sum d+^2 +
+    d-^2, and the gradient diag(M_k) . (d+ - d-) and -sum d+ + d-.  X = Q Y Q*
+    with Y = w * (Q* combine(dx) Q) + diag(d+ - d- - dtau (d+^2 - d-^2)), the
+    point Q diag(d+ - d-) Q* moved along d, has zero coordinates; X' = X -
+    combine(coords(X)) (for rounding) gives the bound L(X') = tr(A0 X') / ||X'||_1."""
     lam = dec.eigenvalues / scale
     dp, dm = 1.0 / (tau - lam), 1.0 / (tau + lam)
     q, m = dec.vectors, fam.basis.compress_to(dec.vectors)
-    sides = [np.concatenate([sign * m * np.outer(r, r), np.diag(r * r)[None]])
-             for sign, r in ((-1.0, np.sqrt(dp)), (1.0, np.sqrt(dm)))]
-    flat = np.concatenate(sides, axis=1).reshape(fam.t + 1, -1)
-    hess, grad = (flat.conj() @ flat.T).real, -np.einsum("kii->k", sides[0] + sides[1]).real
-    try:
-        solved = np.linalg.solve(hess, -np.column_stack([grad, np.eye(fam.t + 1)[-1]]))
+    w, diags = np.outer(dp, dp) + np.outer(dm, dm), m.diagonal(axis1=1, axis2=2).real
+    gram = (np.sqrt(w) * m).reshape(fam.t, -1).view(float)  # row dots: Re sum w conj(M_k) M_l
+    hess = np.empty((fam.t + 1, fam.t + 1))
+    hess[:-1, :-1] = gram @ gram.T
+    hess[-1] = hess[:, -1] = np.append(diags @ (dm * dm - dp * dp), np.sum(dp * dp + dm * dm))
+    grad = np.append(diags @ (dp - dm), -np.sum(dp + dm))
+    try:  # by SVD: near an optimum the Hessian can be singular to rounding
+        solved = np.linalg.lstsq(hess, -np.column_stack([grad, np.eye(fam.t + 1)[-1]]), rcond=0)[0]
     except np.linalg.LinAlgError:
         return None
     steps = solved[:, :1] + etas * solved[:, 1:]  # the steps at either eta
     decrements = np.sqrt(np.maximum(-(grad @ steps + etas * steps[-1]), 0.0))
-    y = (np.outer(dp, dp) + np.outer(dm, dm)) * np.tensordot(steps[:-1, 0], m, axes=1)
+    y = w * (q.conj().T @ fam.basis.combine(steps[:-1, 0]) @ q)
     y[np.diag_indices_from(y)] += dp - dm - steps[-1, 0] * (dp * dp - dm * dm)
     x_dual = (q @ y) @ q.conj().T
     x_perp = x_dual - fam.basis.combine(fam.basis.coords(x_dual).real)
@@ -235,10 +241,12 @@ def best_approximation(
     decomposition each point already gets, their dual points bounding it
     below.  Iteration starts from the best of x0, the unperturbed point
     x = 0 and the Frobenius projection of A0 onto the span (x = -coordinates
-    of A0), the earliest of equals.  Convergence is declared when [lower,
-    dist] is at most fw.dist_tol ||A0|| wide or ||A(x)|| is at most
-    default_cluster_tol(||A0||); else the cap is reported, or an earlier
-    stop where rounding ends the path."""
+    of A0), the earliest of equals.  A step is halved until the new point
+    keeps tau > ||A(x)||, one decomposition a try.  Convergence is declared
+    when [lower, dist] is at most fw.dist_tol ||A0|| wide or ||A(x)|| is at
+    most default_cluster_tol(||A0||); else the cap is reported, or an earlier
+    stop where a step still leaves the domain after _HALVINGS halvings (or
+    the Hessian's SVD fails); a singular Hessian does not stop the path."""
     x = np.asarray(x0, dtype=float).copy()
     _require_shape(x, (fam.t,), "x0", f"basis t = {fam.t}")
 
@@ -258,15 +266,21 @@ def best_approximation(
         zero = best_dec.norm <= default_cluster_tol(scale)  # no bound needed, nor sound
         gap = tau - lower  # rounding can close it; eta then stays
         etas = np.array([eta, max(eta, 2 * fam.basis.n / (_SIGMA * gap)) if gap > 0.0 else eta])
-        at = _newton(fam, dec, tau, etas, scale) if tau > dec.norm / scale and not zero else None
+        at = None if zero else _newton(fam, dec, tau, etas, scale)
         if at is not None and at[0] > lower:
             lower, barrier = at[0], np.concatenate([x, scale * np.append(tau, at[1])])
         converged = zero or best_dec.norm / scale - lower <= cfg.fw.dist_tol
         if converged or at is None or len(norms) > cfg.max_iter:
             break
         step, eta = at[2:]
-        x, tau = x + scale * step[:-1], tau + step[-1]
-        dec = _eig(fam.evaluate(x))
+        for shrink in 0.5 ** np.arange(_HALVINGS + 1):  # one _eig a try
+            x_try, tau_try = x + shrink * scale * step[:-1], tau + shrink * step[-1]
+            dec = _eig(fam.evaluate(x_try))
+            if tau_try > dec.norm / scale:
+                break
+        else:
+            break  # still outside: rounding has ended the path
+        x, tau = x_try, tau_try
         norms.append(dec.norm)
         if dec.norm < best_dec.norm:
             best_x, best_dec = x, dec

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bminimal import hermitian, variational
-from bminimal.algebra import build_diagonal, build_pauli_diagonal, orthonormalize
+from bminimal.algebra import build_block, build_diagonal, build_pauli_diagonal, orthonormalize
 from bminimal.errors import NonUnitalBasis, ZeroMatrix
-from bminimal.hermitian import eig_hermitian
+from bminimal.hermitian import EigenDecomposition, eig_hermitian
 from bminimal.minimality import (
     MINIMAL,
     NOT_MINIMAL,
@@ -410,8 +412,8 @@ class TestBestApproximation:
         assert not result.converged and len(result.trace) == 11
         assert len(passes) == 1
         # two start candidates (x0 = 0 is the unperturbed point), then one
-        # point per step; the Newton step and the lower bound reuse each
-        # point's decomposition
+        # point per step (no step of this run is halved); the Newton step and
+        # the lower bound reuse each point's decomposition
         assert len(calls) == 2 + 10
         assert len(evaluations) == 2 + 10
 
@@ -445,6 +447,71 @@ class TestBestApproximation:
         result = best_approximation(fam, np.zeros(8))
         assert result.converged and len(result.trace) - 1 <= 22
         assert certified(fam, result)
+
+    @pytest.mark.parametrize("seed", range(40, 50))
+    def test_tight_width_on_block_algebra(self, seed):
+        # at 1e-12 ||A0|| the barrier Hessian is singular to rounding near the
+        # end (condition ~1e21 on seed 42); solved by SVD, every run converges,
+        # in 25-27 steps
+        basis = build_block([(2, "diagonal"), (2, "full")])
+        a0 = rand_hermitian(np.random.default_rng(seed), 4)
+        result = best_approximation(AffineFamily(a0, basis), np.zeros(basis.dim),
+                                    SolverConfig(fw=FWConfig(dist_tol=1e-12)))
+        assert result.converged and len(result.trace) - 1 <= 30
+        assert interval_problems(a0, basis.elements, result) is None
+
+    @pytest.mark.parametrize("factor, halvings", [(16.0, 4), (1e6, 5)])
+    def test_step_halved_back_into_domain(self, monkeypatch, factor, halvings):
+        # the tenth step made `factor` times too long leaves the domain: 16
+        # times is halved back to the step itself, so the run is the untouched
+        # one; 1e6 times is still outside after four halvings and ends the run,
+        # whose best point and interval stay sound
+        assert variational._HALVINGS == 4
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
+        plain = best_approximation(fam, np.zeros(4))
+        real_newton, real_eig = variational._newton, variational._eig
+        newtons, eigs = [], []
+
+        def stretched(*args):
+            at = real_newton(*args)
+            newtons.append(1)
+            return (*at[:2], factor * at[2], at[3]) if len(newtons) == 10 else at
+
+        def counting(a):
+            eigs.append(1)
+            return real_eig(a)
+
+        monkeypatch.setattr(variational, "_newton", stretched)
+        monkeypatch.setattr(variational, "_eig", counting)
+        result = best_approximation(fam, np.zeros(4))
+        steps = len(result.trace) - 1
+        assert len(eigs) == 2 + steps + halvings
+        assert interval_problems(fam.a0, fam.basis.elements, result) is None
+        if factor == 16.0:
+            assert result.converged and np.array_equal(result.trace, plain.trace)
+            assert result.lower == plain.lower and result.dist == plain.dist
+        else:
+            assert not result.converged and steps == 9
+
+    def test_newton_step_within_three_stacks(self):
+        # the Newton system is one Gram product of the (t, n, n) stack M_k =
+        # Q* B_k Q weighted by d+ d+^T + d- d-^T; whitening each side apart and
+        # concatenating them peaked at 7.1 times the stack
+        basis = build_pauli_diagonal(6)
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(1), 64), basis)
+        lam, vectors = np.linalg.eigh(fam.a0)
+        dec = EigenDecomposition(lam, vectors, fam.a0)
+        scale, tau = float(np.max(np.abs(lam))), 1.5
+        etas = np.array([2 * 64 / tau, 2 * 64 / tau])
+        variational._newton(fam, dec, tau, etas, scale)  # the basis's cached tables
+        tracemalloc.start()
+        try:
+            at = variational._newton(fam, dec, tau, etas, scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert at is not None and 0.0 < at[0] <= 1.0
+        assert peak <= 3 * basis.dim * 64 * 64 * np.dtype(complex).itemsize
 
     def test_non_unital_span_at_its_optimum(self):
         # span{E11} in M2: ||diag(1 + x, -0.5)|| is least, 0.5, for |1 + x| <=

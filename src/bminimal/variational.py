@@ -110,17 +110,16 @@ class SolverConfig:
 class BestApproxResult:
     """``trace[k]`` is ||A(x_k)|| at step k = 0, ..., iterations, so the
     run took ``len(trace) - 1`` steps.  dist(A0, B) lies in [lower, dist]:
-    lower is 0, or at most the bound of ``barrier``, the 2t + 2 floats (x,
-    tau, dx, dtau) by which P+- = (tau I -+ A(x))^-1 and S = sum_k dx_k B_k
-    give X = P+ - P- + P+ (S - dtau I) P+ + P- (S + dtau I) P-, and X' = X -
-    combine(coords(X)) gives tr(A0 X') / ||X'||_1."""
+    lower is 0 without a ``dual``, else at most L(X') = tr(A0 X') / ||X'||_1
+    for the dual point X' = ``dual``, trace-orthogonal to B up to rounding
+    (any X' projected off B bounds the distance so)."""
 
     x_star: np.ndarray
     dist: float
     trace: np.ndarray  # (iterations + 1,) float
     converged: bool
     lower: float = 0.0
-    barrier: np.ndarray | None = None  # (2t + 2,) float
+    dual: np.ndarray | None = None  # (n, n) complex, Hermitian up to rounding
 
 
 def _side(fam: AffineFamily, dec: EigenDecomposition, top: bool) -> CompressedFamily:
@@ -196,7 +195,7 @@ _HALVINGS = 4
 def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, etas: np.ndarray, scale: float):
     """At a point (x, tau) of eta tau - sum log(tau -+ lam), tau > ||A(x)||, with
     A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower bound
-    on dist(A0, B) of the Newton step d at etas[0], d, and the damped step to take
+    on dist(A0, B) of the Newton step d at etas[0], its dual point X', the damped step
     with its eta (etas[1] near the centre), or None if the Hessian's SVD fails.
     With M_k = Q* B_k Q, d+- = 1 / (tau -+ lam) and w = d+ d+^T + d- d-^T, the
     Hessian in x is the Gram matrix Re sum_ij w_ij conj(M_k,ij) M_l,ij of the
@@ -228,7 +227,7 @@ def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, etas: np.nda
     lower = np.vdot(x_perp, fam.a0 / scale).real / trace_norm if trace_norm > 0.0 else 0.0
     grow = int(decrements[0] < _RECENTER)
     damping = 1.0 + decrements[grow] if decrements[grow] >= _FULL_STEP else 1.0
-    return float(lower), steps[:, 0], steps[:, grow] / damping, etas[grow]
+    return float(lower), x_perp, steps[:, grow] / damping, etas[grow]
 
 
 def best_approximation(
@@ -259,7 +258,7 @@ def best_approximation(
     pick = int(np.argmin([dec.norm for dec in evaluated]))
     best_x, best_dec = candidates[pick], evaluated[pick]
 
-    norms, lower, barrier = [best_dec.norm], 0.0, None  # lower in units of ||A0||
+    norms, lower, dual = [best_dec.norm], 0.0, None  # lower in units of ||A0||
     x, dec, tau = best_x, best_dec, best_dec.norm / scale + _TAU_MARGIN
     eta = 2 * fam.basis.n / tau
     while True:
@@ -268,7 +267,7 @@ def best_approximation(
         etas = np.array([eta, max(eta, 2 * fam.basis.n / (_SIGMA * gap)) if gap > 0.0 else eta])
         at = None if zero else _newton(fam, dec, tau, etas, scale)
         if at is not None and at[0] > lower:
-            lower, barrier = at[0], np.concatenate([x, scale * np.append(tau, at[1])])
+            lower, dual = at[:2]
         converged = zero or best_dec.norm / scale - lower <= cfg.fw.dist_tol
         if converged or at is None or len(norms) > cfg.max_iter:
             break
@@ -286,4 +285,4 @@ def best_approximation(
             best_x, best_dec = x, dec
     lower = min(lower * scale, best_dec.norm)  # the two agree to rounding at an optimum
     return BestApproxResult(x_star=best_x, dist=best_dec.norm, trace=np.array(norms),
-                            converged=converged, lower=lower, barrier=barrier)
+                            converged=converged, lower=lower, dual=dual)

@@ -296,6 +296,17 @@ class TestMomentDistance:
             lam2 = np.linalg.eigvalsh(np.einsum("k,kij->ij", -d, fam2.mats))[0]
             assert abs(res.gap - (d @ d - lam1 - lam2)) <= 1e-12
 
+    def test_polish_curvature_settles_random_pairs(self):
+        # rank-2 pairs in C^8 whose moments miss each other under pauli:3: the
+        # polish's curvature rows, which weigh the rotation Z of a face by the
+        # oracle matrix, let all 20 meet the gap at iteration 8.  Without them
+        # seeds 0, 11, 13, 16 and 18 run to the cap, and 1 and 4 take 32-34
+        basis = build_pauli_diagonal(3)
+        for seed in range(20):
+            s1, s2 = random_pair(np.random.default_rng(seed))
+            res = moment_distance(s1, s2, basis, FWConfig(max_iter=300))
+            assert res.stop_reason == "gap_met" and res.iterations <= 16
+
     def test_plain_solve_stops_at_gap_or_budget(self):
         pairs = [
             (span([1, 0]), span([0, 1]), build_diagonal(2)),

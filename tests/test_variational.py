@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,6 +460,24 @@ class TestBestApproximation:
                                     SolverConfig(fw=FWConfig(dist_tol=1e-12)))
         assert result.converged and len(result.trace) - 1 <= 30
         assert interval_problems(a0, basis.elements, result) is None
+
+    @pytest.mark.parametrize("n, seed, tol", [(6, 47, 1e-13), (5, 109, 1e-15)])
+    def test_narrow_width_witness(self, n, seed, tol):
+        # at these widths tau - ||A(x)|| is near rounding, where (tau I -+
+        # A(x))^-1 cannot be formed again from the point: the dual point itself
+        # is the witness, and projected off B it gives lower by one trace
+        a0 = rand_hermitian(np.random.default_rng(seed), n)
+        basis = build_diagonal(n)
+        result = best_approximation(AffineFamily(a0, basis), np.zeros(n),
+                                    SolverConfig(fw=FWConfig(dist_tol=tol)))
+        assert result.converged and result.dual.shape == (n, n)
+        assert interval_problems(a0, basis.elements, result) is None
+        # the oracle holds lower to its witness: a lower end raised by 1e-9,
+        # one without its dual point, or a dual point that lies in B (whose
+        # projection is 0) is refused
+        for wrong in ({"lower": result.lower * (1 + 1e-9)}, {"dual": None},
+                      {"dual": np.eye(n, dtype=complex)}):
+            assert interval_problems(a0, basis.elements, replace(result, **wrong)) is not None
 
     @pytest.mark.parametrize("factor, halvings", [(16.0, 4), (1e6, 5)])
     def test_step_halved_back_into_domain(self, monkeypatch, factor, halvings):

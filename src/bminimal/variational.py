@@ -197,32 +197,30 @@ def _newton(fam: AffineFamily, dec: EigenDecomposition, tau: float, etas: np.nda
     A(x) = Q diag(lam) Q* by dec, all in units of scale = ||A0||: the lower bound
     on dist(A0, B) of the Newton step d at etas[0], its dual point X', the damped step
     with its eta (etas[1] near the centre), or None if the Hessian's SVD fails.
-    With M_k = Q* B_k Q, d+- = 1 / (tau -+ lam) and w = d+ d+^T + d- d-^T, the
-    Hessian in x is the Gram matrix Re sum_ij w_ij conj(M_k,ij) M_l,ij of the
-    stack weighted by w, its tau column diag(M_k) . (d-^2 - d+^2) and sum d+^2 +
-    d-^2, and the gradient diag(M_k) . (d+ - d-) and -sum d+ + d-.  X = Q Y Q*
-    with Y = w * (Q* combine(dx) Q) + diag(d+ - d- - dtau (d+^2 - d-^2)), the
-    point Q diag(d+ - d-) Q* moved along d, has zero coordinates; X' = X -
-    combine(coords(X)) (for rounding) gives the bound L(X') = tr(A0 X') / ||X'||_1."""
-    lam = dec.eigenvalues / scale
+    With P+- = (tau I -+ A(x))^-1 = Q diag(d+-) Q*, row l of the Hessian in x is
+    coords(P+ B_l P+ + P- B_l P-), its tau column coords(P-^2 - P+^2) and sum d+^2 +
+    d-^2, and the gradient coords(P+ - P-) and -sum d+ + d-.  The dual point
+    X = P+ C P+ + P- C P- + P+ - P- + dtau (P-^2 - P+^2) with C = combine(dx),
+    P+ - P- moved along d, has zero coordinates; X' = X - combine(coords(X)) (for
+    rounding) gives the bound L(X') = tr(A0 X') / ||X'||_1."""
+    lam, q, basis = dec.eigenvalues / scale, dec.vectors, fam.basis
     dp, dm = 1.0 / (tau - lam), 1.0 / (tau + lam)
-    q, m = dec.vectors, fam.basis.compress_to(dec.vectors)
-    w, diags = np.outer(dp, dp) + np.outer(dm, dm), m.diagonal(axis1=1, axis2=2).real
-    gram = (np.sqrt(w) * m).reshape(fam.t, -1).view(float)  # row dots: Re sum w conj(M_k) M_l
+    p_plus, p_minus, sq_diff = ((q * d) @ q.conj().T for d in (dp, dm, dm * dm - dp * dp))
+    def sandwich(b):  # P+ B P+ + P- B P-
+        return p_plus @ b @ p_plus + p_minus @ b @ p_minus
     hess = np.empty((fam.t + 1, fam.t + 1))
-    hess[:-1, :-1] = gram @ gram.T
-    hess[-1] = hess[:, -1] = np.append(diags @ (dm * dm - dp * dp), np.sum(dp * dp + dm * dm))
-    grad = np.append(diags @ (dp - dm), -np.sum(dp + dm))
+    for row, unit in zip(hess, np.eye(fam.t)):
+        row[:-1] = basis.coords(sandwich(basis.combine(unit))).real
+    hess[-1] = hess[:, -1] = np.append(basis.coords(sq_diff).real, np.sum(dp * dp + dm * dm))
+    grad = np.append(basis.coords(p_plus - p_minus).real, -np.sum(dp + dm))
     try:  # by SVD: near an optimum the Hessian can be singular to rounding
         solved = np.linalg.lstsq(hess, -np.column_stack([grad, np.eye(fam.t + 1)[-1]]), rcond=0)[0]
     except np.linalg.LinAlgError:
         return None
     steps = solved[:, :1] + etas * solved[:, 1:]  # the steps at either eta
     decrements = np.sqrt(np.maximum(-(grad @ steps + etas * steps[-1]), 0.0))
-    y = w * (q.conj().T @ fam.basis.combine(steps[:-1, 0]) @ q)
-    y[np.diag_indices_from(y)] += dp - dm - steps[-1, 0] * (dp * dp - dm * dm)
-    x_dual = (q @ y) @ q.conj().T
-    x_perp = x_dual - fam.basis.combine(fam.basis.coords(x_dual).real)
+    x_dual = sandwich(basis.combine(steps[:-1, 0])) + p_plus - p_minus + steps[-1, 0] * sq_diff
+    x_perp = x_dual - basis.combine(basis.coords(x_dual).real)
     trace_norm = np.abs(np.linalg.eigvalsh(x_perp)).sum()
     lower = np.vdot(x_perp, fam.a0 / scale).real / trace_norm if trace_norm > 0.0 else 0.0
     grow = int(decrements[0] < _RECENTER)

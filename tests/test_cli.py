@@ -135,6 +135,39 @@ class TestCertificate:
         assert "no certificate" in capsys.readouterr().err
 
 
+class TestUndecidedVerdict:
+    @pytest.fixture
+    def twin_file(self, tmp_path):
+        # the rank-2 twin pair in C^8 of the installed-bmin CI job: V holds u
+        # and W its twin w, and the matrix is P_V - P_W + P_rest/2, which FW
+        # settles as minimal from 8 iterations under pauli:3
+        rng = np.random.default_rng(5)
+        u = np.exp(2j * np.pi * rng.random(8)) / np.sqrt(8)
+        w = u * np.exp(2j * np.pi * np.arange(8) / 8)
+        rest = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        q, _ = np.linalg.qr(np.column_stack([u, w, rest]))
+        return write_matrix(tmp_path / "twin.json", support_matrix(q[:, [0, 2]], q[:, [1, 3]]))
+
+    @pytest.mark.parametrize("max_iter", [3, 5, 7])
+    def test_check_exits_two(self, twin_file, capsys, max_iter):
+        argv = ["check", "--matrix", twin_file, "--algebra", "pauli:3", "--max-iter", str(max_iter)]
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "undecided" and doc["reason"] == "gap_undecided"
+        assert doc["certificate"] is None
+
+    def test_settled_from_eight_iterations(self, twin_file, capsys):
+        assert main(["check", "--matrix", twin_file, "--algebra", "pauli:3", "--max-iter", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "minimal"
+
+    def test_certificate_exits_two(self, twin_file, capsys):
+        argv = ["certificate", "--matrix", twin_file, "--algebra", "pauli:3", "--max-iter", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no certificate: verdict is undecided\n"
+
+
 class TestMoment:
     def test_deterministic_csv(self, tmp_path, capsys):
         frame = write_frame(tmp_path / "s.json", [[IV, IV, 0], [0, 0, 1]])

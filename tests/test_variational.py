@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from bminimal import hermitian, variational
-from bminimal.algebra import build_block, build_diagonal, build_pauli_diagonal, orthonormalize
+from bminimal.algebra import (
+    SubalgebraBasis,
+    build_block,
+    build_diagonal,
+    build_pauli_diagonal,
+    orthonormalize,
+)
 from bminimal.errors import NonUnitalBasis, ZeroMatrix
 from bminimal.hermitian import EigenDecomposition, eig_hermitian
 from bminimal.minimality import (
@@ -49,6 +55,25 @@ def certified(fam, result, upper=None):
     return interval_problems(fam.a0, fam.basis.elements, result, upper) is None and (
         result.dist <= default_cluster_tol(scale)
         or result.dist - result.lower <= FWConfig().dist_tol * scale)
+
+
+def newton_step_peak(fam):
+    """The tracemalloc peak of one Newton step at x = 0 with tau = 1.5 ||A0||,
+    measured on a second call, after the first has run numpy's setup."""
+    n = fam.basis.n
+    lam, vectors = np.linalg.eigh(fam.a0)
+    dec = EigenDecomposition(lam, vectors, fam.a0)
+    scale, tau = float(np.max(np.abs(lam))), 1.5
+    etas = np.full(2, 2 * n / tau)
+    variational._newton(fam, dec, tau, etas, scale)
+    tracemalloc.start()
+    try:
+        at = variational._newton(fam, dec, tau, etas, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert at is not None and 0.0 < at[0] <= 1.0
+    return peak
 
 
 class TestTwoSidedBoundary:
@@ -512,25 +537,54 @@ class TestBestApproximation:
         else:
             assert not result.converged and steps == 9
 
-    def test_newton_step_within_three_stacks(self):
-        # the Newton system is one Gram product of the (t, n, n) stack M_k =
-        # Q* B_k Q weighted by d+ d+^T + d- d-^T; whitening each side apart and
-        # concatenating them peaked at 7.1 times the stack
-        basis = build_pauli_diagonal(6)
-        fam = AffineFamily(rand_hermitian(np.random.default_rng(1), 64), basis)
-        lam, vectors = np.linalg.eigh(fam.a0)
-        dec = EigenDecomposition(lam, vectors, fam.a0)
-        scale, tau = float(np.max(np.abs(lam))), 1.5
-        etas = np.array([2 * 64 / tau, 2 * 64 / tau])
-        variational._newton(fam, dec, tau, etas, scale)  # the basis's cached tables
-        tracemalloc.start()
-        try:
-            at = variational._newton(fam, dec, tau, etas, scale)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert at is not None and 0.0 < at[0] <= 1.0
-        assert peak <= 3 * basis.dim * 64 * 64 * np.dtype(complex).itemsize
+    def test_newton_step_within_sixteen_matrices(self, monkeypatch):
+        # the Newton system is read off P+- = (tau I -+ A(x))^-1 through
+        # combine and coords, one basis element at a time, so a step peaks at
+        # about 8 n x n matrices whatever t is (t = 64 here), and compresses
+        # no frame
+        def refused(*args):
+            raise AssertionError("a Newton step compressed a frame")
+
+        monkeypatch.setattr(SubalgebraBasis, "compress_to", refused)
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(1), 64), build_pauli_diagonal(6))
+        assert newton_step_peak(fam) <= 16 * 64 * 64 * np.dtype(complex).itemsize
+
+    def test_dense_custom_support(self):
+        # I and three dense Hermitian matrices at n = 16: t = 4, but every one
+        # of the n^2 entries is in the support, so a Newton system formed on
+        # the support would be n^2 x n^2; from P+- it stays 16 n x n matrices.
+        # 13 steps
+        rng = np.random.default_rng(0)
+        basis = orthonormalize([np.eye(16)] + [rand_hermitian(rng, 16) for _ in range(3)])
+        assert basis.dim == 4 and basis.support[0].size == 16 * 16
+        fam = AffineFamily(rand_hermitian(rng, 16), basis)
+        result = best_approximation(fam, np.zeros(4))
+        assert result.converged and len(result.trace) - 1 <= 16
+        assert certified(fam, result)
+        assert newton_step_peak(fam) <= 16 * 16 * 16 * np.dtype(complex).itemsize
+
+    def test_svd_failure_ends_the_run(self, monkeypatch):
+        # an SVD that fails on the tenth Newton system ends the run at that
+        # point, unconverged (the input converges in 14 steps), with the best
+        # point and the interval of the nine steps before it
+        fam = AffineFamily(rand_hermitian(np.random.default_rng(3), 4), build_diagonal(4))
+        plain = best_approximation(fam, np.zeros(4))
+        real, calls = np.linalg.lstsq, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 10:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        result = best_approximation(fam, np.zeros(4))
+        assert not result.converged and len(calls) == 10
+        assert np.array_equal(result.trace, plain.trace[:10])
+        assert result.dist == result.trace.min()
+        assert result.dist == pytest.approx(np.linalg.norm(fam.evaluate(result.x_star), 2), rel=1e-14)
+        assert 0.0 < result.lower <= result.dist
+        assert interval_problems(fam.a0, fam.basis.elements, result) is None
 
     def test_non_unital_span_at_its_optimum(self):
         # span{E11} in M2: ||diag(1 + x, -0.5)|| is least, 0.5, for |1 + x| <=
